@@ -6,6 +6,13 @@ enumerator backtracks over elements in shortlex order with unit propagation
 (assigning w forces w^-1; a positive pair forces its in-ball product), so its
 output is the complete, deterministic list of locally consistent assignments.
 It is the independent oracle the classified cone families are checked against.
+
+The search runs on a :class:`BallIndex`: the ball's elements numbered
+``0..n-1`` in shortlex order, their inverses and the in-ball closure triples
+as ints, built once per radius from raw normal forms on syllable tuples.
+Signs live in an int list; propagation appends to a trail, and backtracking
+undoes the trail to the mark taken at the decision (as in MiniSat), with an
+explicit stack in place of recursion.
 """
 
 from __future__ import annotations
@@ -29,132 +36,155 @@ class BallCone:
     domain: tuple[Word, ...]          # shortlex order, identity excluded
     signs: tuple[int, ...]            # aligned with domain
 
-    def sign_of(self, w: Word) -> int:
-        return self.signs[self.domain.index(w)]
-
-    def as_dict(self):
-        return dict(zip(self.domain, self.signs))
-
     def serial(self) -> list:
         return [[w.pairs(), s] for w, s in zip(self.domain, self.signs)]
 
 
-def _closure_triples(domain):
-    """(u, v, uv) with all three in the domain, indexed per touched element."""
-    dset = set(domain)
-    ctx = domain[0].ctx
-    by_word = {w: [] for w in domain}
-    for u in domain:
-        for v in domain:
-            p = ctx.mul(u, v)
-            if p in dset:
-                t = (u, v, p)
-                for w in {u, v, p}:
-                    by_word[w].append(t)
-    return by_word
+class BallIndex:
+    """B_r minus the identity as ints, with inverses and closure triples.
+
+    ``domain[i]`` is the i-th nonidentity element in shortlex order,
+    ``ids`` maps its syllables back to ``i``, ``inv[i]`` is the id of its
+    inverse and ``by_id[i]`` lists every triple ``(u, v, p)`` of ids with
+    ``domain[u] * domain[v] == domain[p]`` in which ``i`` occurs.
+    """
+
+    def __init__(self, ctx: GroupCtx, r: int, gens=None,
+                 cap: int = CENSUS_DOMAIN_CAP):
+        domain = [w for w in ctx.ball(r, gens=gens) if not w.is_identity()]
+        if len(domain) > cap:
+            raise ResourceLimitError(
+                f"census domain has {len(domain)} elements, cap is {cap}")
+        self.domain = tuple(domain)
+        syls = [w.syllables for w in domain]
+        ids = {s: i for i, s in enumerate(syls)}
+        self.ids = ids
+        # ball words are already normal, so the raw normal form suffices
+        norm, get = ctx._normalize, ids.get
+        inv = [ids[norm(tuple((g, -e) for g, e in reversed(s)))] for s in syls]
+        self.inv = inv
+        # u * w^-1 = p  iff  w * u^-1 = p^-1, so the pairs with w >= u give
+        # every triple, and each product is normalized once for two triples
+        inv_syls = [syls[i] for i in inv]
+        triples = []
+        for u, su in enumerate(syls):
+            products = map(get, map(norm, [su + s for s in inv_syls[u:]]))
+            for w, p in enumerate(products, u):
+                if p is not None:
+                    triples.append((u, inv[w], p))
+                    triples.append((w, inv[u], inv[p]))
+        by_id: list[list[tuple[int, int, int]]] = [[] for _ in syls]
+        for t in triples:
+            u, v, p = t
+            by_id[u].append(t)
+            if v != u:
+                by_id[v].append(t)
+            if p != u and p != v:
+                by_id[p].append(t)
+        self.by_id = by_id
 
 
 class _Search:
-    """Shared propagation engine for enumeration and extension checking."""
+    """Shared propagation engine for enumeration and extension checking.
 
-    def __init__(self, domain):
-        self.domain = domain
-        self.ctx = domain[0].ctx if domain else None
-        self.inv = {w: w.ctx.inv(w) for w in domain}
-        self.by_word = _closure_triples(domain)
-        self.sign: dict[Word, int] = {}
+    ``sign[i]`` is +1, -1 or 0 (unassigned); ``trail`` lists assigned ids in
+    assignment order and doubles as the propagation queue.
+    """
 
-    def assign(self, w: Word, s: int) -> bool:
-        if w in self.sign:
-            return self.sign[w] == s
-        self.sign[w] = s
-        return self._propagate([w])
+    def __init__(self, index: BallIndex):
+        self.index = index
+        self.sign = [0] * len(index.domain)
+        self.trail: list[int] = []
 
-    def _propagate(self, queue) -> bool:
-        sign = self.sign
-        while queue:
-            w = queue.pop()
+    def undo(self, mark: int) -> None:
+        """Unassign everything assigned after the trail had length ``mark``."""
+        sign, trail = self.sign, self.trail
+        for i in trail[mark:]:
+            sign[i] = 0
+        del trail[mark:]
+
+    def assign(self, w: int, s: int) -> bool:
+        """Assign and propagate; False on conflict (the caller undoes)."""
+        sign, trail = self.sign, self.trail
+        if sign[w]:
+            return sign[w] == s
+        inv, by_id = self.index.inv, self.index.by_id
+        head = len(trail)
+        sign[w] = s
+        trail.append(w)
+        while head < len(trail):
+            w = trail[head]
+            head += 1
             s = sign[w]
-            iw = self.inv[w]
-            si = sign.get(iw)
-            if si is None:
+            iw = inv[w]
+            si = sign[iw]
+            if not si:
                 sign[iw] = -s
-                queue.append(iw)
+                trail.append(iw)
             elif si != -s:
                 return False
-            for (u, v, p) in self.by_word[w]:
-                su, sv, sp = sign.get(u), sign.get(v), sign.get(p)
+            for u, v, p in by_id[w]:
+                su, sv, sp = sign[u], sign[v], sign[p]
                 if su == 1 and sv == 1:
-                    if sp is None:
+                    if not sp:
                         sign[p] = 1
-                        queue.append(p)
+                        trail.append(p)
                     elif sp == -1:
                         return False
-                elif su == 1 and sp == -1 and sv is None:
+                elif su == 1 and sp == -1 and not sv:
                     sign[v] = -1
-                    queue.append(v)
-                elif sv == 1 and sp == -1 and su is None:
+                    trail.append(v)
+                elif sv == 1 and sp == -1 and not su:
                     sign[u] = -1
-                    queue.append(u)
+                    trail.append(u)
         return True
 
     def run(self, collect=None) -> bool:
         """DFS in shortlex variable order, + branch first.
 
-        With ``collect`` set, gathers every solution and returns True;
-        otherwise returns whether at least one completion exists.
+        With ``collect`` set, appends every completion to it as a tuple of
+        signs; otherwise stops at the first.  Returns whether one exists.
         """
-        return self._solve(0, collect)
-
-    def _solve(self, i: int, collect) -> bool:
-        domain = self.domain
-        while i < len(domain) and domain[i] in self.sign:
-            i += 1
-        if i == len(domain):
-            if collect is None:
-                return True
-            collect.append(dict(self.sign))
-            return True
-        w = domain[i]
+        sign, trail = self.sign, self.trail
+        n = len(sign)
+        stack: list[tuple[int, int]] = []   # decisions whose - branch is open
         found = False
-        for s in (1, -1):
-            saved = dict(self.sign)
-            self.sign[w] = s
-            if self._propagate([w]) and self._solve(i + 1, collect):
+        i = 0
+        while True:
+            while i < n and sign[i]:
+                i += 1
+            if i == n:
                 if collect is None:
                     return True
+                collect.append(tuple(sign))
                 found = True
-            self.sign = saved
-        return found
-
-
-def _domain(ctx: GroupCtx, r: int, gens, cap: int):
-    ball = ctx.ball(r, gens=gens)
-    domain = [w for w in ball if not w.is_identity()]
-    if len(domain) > cap:
-        raise ResourceLimitError(
-            f"census domain has {len(domain)} elements, cap is {cap}")
-    return domain
+            else:
+                stack.append((i, len(trail)))
+                if self.assign(i, 1):
+                    continue
+            while stack:
+                i, mark = stack.pop()
+                self.undo(mark)
+                if self.assign(i, -1):
+                    break
+            else:
+                return found
 
 
 def enumerate_ball_cones(ctx: GroupCtx, r: int, gens=None,
                          cap: int = CENSUS_DOMAIN_CAP) -> list[BallCone]:
     """All ball cones on B_r, in canonical order (shortlex on sign vectors)."""
-    domain = _domain(ctx, r, gens, cap)
-    if not domain:
-        return [BallCone(ctx, r, (), ())]
-    search = _Search(domain)
-    found: list[dict] = []
-    search.run(collect=found)
-    cones = [BallCone(ctx, r, tuple(domain), tuple(sol[w] for w in domain))
-             for sol in found]
-    cones.sort(key=lambda c: tuple(0 if s == 1 else 1 for s in c.signs))
-    return cones
+    index = BallIndex(ctx, r, gens, cap)
+    found: list[tuple[int, ...]] = []
+    _Search(index).run(collect=found)
+    found.sort(key=lambda signs: tuple(0 if s == 1 else 1 for s in signs))
+    return [BallCone(ctx, r, index.domain, signs) for signs in found]
 
 
 def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
                       cap: int = CENSUS_DOMAIN_CAP) -> list[BallCone]:
     """Keep the ball cones that extend to a consistent assignment on B_target."""
+    searches: dict[GroupCtx, _Search] = {}
     out = []
     for cone in cones:
         if target_radius < cone.radius:
@@ -162,14 +192,15 @@ def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
         if target_radius == cone.radius:
             out.append(cone)
             continue
-        domain = _domain(cone.ctx, target_radius, gens, cap)
-        search = _Search(domain)
-        seeded = True
-        for w, s in zip(cone.domain, cone.signs):
-            if not search.assign(w, s):
-                seeded = False
-                break
-        if seeded and search.run():
+        search = searches.get(cone.ctx)
+        if search is None:
+            search = searches[cone.ctx] = _Search(
+                BallIndex(cone.ctx, target_radius, gens, cap))
+        search.undo(0)
+        ids = search.index.ids
+        if (all(search.assign(ids[w.syllables], s)
+                for w, s in zip(cone.domain, cone.signs))
+                and search.run()):
             out.append(cone)
     return out
 

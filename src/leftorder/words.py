@@ -162,6 +162,9 @@ class GroupCtx:
             key = (self, r)
             cached = _BALL_CACHE.get(key)
             if cached is not None:
+                if len(cached) > cap:
+                    raise ResourceLimitError(
+                        f"ball exceeds cap of {cap} elements")
                 return list(cached)
         letters = list(gens) if gens is not None else self.ball_generators()
         seen = {self.identity()}

@@ -1,18 +1,25 @@
+import itertools
 import random
 
 import pytest
 
 from leftorder.census import (
-    census_digest, enumerate_ball_cones, extendable_filter,
-    restriction_ball_cone,
+    BallCone, BallIndex, census_digest, enumerate_ball_cones,
+    extendable_filter, restriction_ball_cone,
 )
 from leftorder.cones import klein_cones, slope_cone, z_cone
 from leftorder.errors import ResourceLimitError
-from leftorder.words import FreeCtx, KleinCtx, ZPowCtx
+from leftorder.surd import Mat2
+from leftorder.words import (
+    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
+    ZPowCtx,
+)
 
 Z1 = ZPowCtx(1)
 Z2 = ZPowCtx(2)
 KLEIN = KleinCtx()
+F2 = FreeCtx(2)
+BOX = tuple(Z2.box_generators())
 
 
 def test_z_three_ball_has_two_cones():
@@ -87,3 +94,109 @@ def test_box_generator_census():
 def test_domain_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_ball_cones(FreeCtx(2), 6, cap=100)
+
+
+def test_extendable_filter_rejects_shrinking_target():
+    with pytest.raises(ValueError):
+        extendable_filter(enumerate_ball_cones(Z2, 2), 1)
+
+
+def test_extendable_filter_target_cap():
+    cones = enumerate_ball_cones(F2, 1)
+    with pytest.raises(ResourceLimitError):
+        extendable_filter(cones, 4, cap=100)   # B_4 of F2 has 160 non-identity
+
+
+# -- the integer index against Word arithmetic --------------------------------
+
+@pytest.mark.parametrize("ctx", [
+    Z2, KLEIN, F2, SemidirectCtx(Mat2(2, 1, 1, 1)),
+    DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2))),
+    FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))),
+], ids=["z2", "klein", "f2", "sol", "zxf2", "zz-free"])
+def test_ball_index_matches_word_products(ctx):
+    index = BallIndex(ctx, 2)
+    domain = index.domain
+    pos = {w: i for i, w in enumerate(domain)}
+    assert [pos[ctx.inv(w)] for w in domain] == index.inv
+    assert all(index.ids[w.syllables] == i for w, i in pos.items())
+    products = {(pos[u], pos[v], pos[ctx.mul(u, v)])
+                for u in domain for v in domain if ctx.mul(u, v) in pos}
+    for i, triples in enumerate(index.by_id):
+        assert len(triples) == len(set(triples))
+        assert set(triples) == {t for t in products if i in t}
+
+
+# -- brute force over every sign vector ------------------------------------
+
+def _brute_force_cones(ctx, r, gens=None):
+    """Every antisymmetric, product-closed +-1 vector on B_r minus 1.
+
+    itertools.product yields +1 before -1 position by position, which is the
+    census's canonical order.
+    """
+    domain = tuple(w for w in ctx.ball(r, gens=gens) if not w.is_identity())
+    pos = {w: i for i, w in enumerate(domain)}
+    inv = [pos[ctx.inv(w)] for w in domain]
+    prods = [(pos[u], pos[v], pos[ctx.mul(u, v)])
+             for u in domain for v in domain if ctx.mul(u, v) in pos]
+    cones = [
+        signs for signs in itertools.product((1, -1), repeat=len(domain))
+        if all(signs[j] == -s for s, j in zip(signs, inv))
+        and not any(signs[u] == 1 and signs[v] == 1 and signs[p] == -1
+                    for u, v, p in prods)]
+    return domain, cones
+
+
+@pytest.mark.parametrize("ctx,r,gens", [
+    (Z1, 3, None), (Z2, 1, None), (Z2, 1, BOX), (KLEIN, 2, None), (F2, 1, None),
+], ids=["z-r3", "z2-r1", "z2-box-r1", "klein-r2", "f2-r1"])
+def test_enumeration_matches_brute_force(ctx, r, gens):
+    domain, brute = _brute_force_cones(ctx, r, gens)
+    expected = [BallCone(ctx, r, domain, signs) for signs in brute]
+    assert enumerate_ball_cones(ctx, r, gens=gens) == expected
+
+
+@pytest.mark.parametrize("ctx,r,target", [
+    (Z1, 2, 4), (Z2, 1, 2), (KLEIN, 1, 2),
+], ids=["z-r2-4", "z2-r1-2", "klein-r1-2"])
+def test_extendable_filter_matches_brute_force(ctx, r, target):
+    # every +-1 vector, consistent or not, so that the filter must prune
+    domain = tuple(w for w in ctx.ball(r) if not w.is_identity())
+    candidates = [BallCone(ctx, r, domain, signs) for signs
+                  in itertools.product((1, -1), repeat=len(domain))]
+    big_domain, big = _brute_force_cones(ctx, target)
+    where = [big_domain.index(w) for w in domain]
+    restrictions = {tuple(signs[i] for i in where) for signs in big}
+    expected = [c for c in candidates if c.signs in restrictions]
+    assert 0 < len(expected) < len(candidates)
+    assert extendable_filter(candidates, target) == expected
+
+
+# -- digests pinned before the integer index replaced the Word search ---------
+
+@pytest.mark.parametrize("ctx,r,target,gens,count,sha256", [
+    (KLEIN, 4, 8, None, 4,
+     "52a7ed0027be50cfd1109fa2e11a370851905ca06136b99516890a36f5431116"),
+    (Z2, 2, 5, None, 8,
+     "b5090bf8cbcf8b84d25af75430bf50790c749c060a75425e8faba12abc7add59"),
+    (Z2, 2, 4, BOX, 16,
+     "1d80a39835b086aab0c64b08d6d6779be83217bf031310995af7b402bb6cf649"),
+    (F2, 1, 4, None, 4,
+     "5752dbcf7e9e9be004a9dec0f22a8829fbbdaed4842439f0a04c9ecba7fad0d9"),
+], ids=["klein-r4-8", "z2-r2-5", "z2-box-r2-4", "f2-r1-4"])
+def test_survivor_digest_pinned(ctx, r, target, gens, count, sha256):
+    survivors = extendable_filter(enumerate_ball_cones(ctx, r, gens=gens),
+                                  target, gens=gens)
+    assert census_digest(survivors) == {"count": count, "sha256": sha256}
+
+
+@pytest.mark.parametrize("ctx,r,count,sha256", [
+    (Z2, 8, 88,
+     "dcc1a16a19aa690db84c5fc8c8d35796306a5cbd3083262c6d7e09ba6c2ecfa8"),
+    (KLEIN, 10, 4,
+     "b117072b41f18c5b0369b94a47020525898661b81a0cfc6ace153c7c227d57b1"),
+], ids=["z2-r8", "klein-r10"])
+def test_enumeration_digest_pinned(ctx, r, count, sha256):
+    assert census_digest(enumerate_ball_cones(ctx, r)) == {
+        "count": count, "sha256": sha256}

@@ -179,6 +179,13 @@ def test_ball_cap():
         F2.ball(8, cap=1000)
 
 
+def test_ball_cap_on_cache_hit():
+    assert len(F2.ball(3)) == 53  # fills the cache for radius 3
+    with pytest.raises(ResourceLimitError):
+        F2.ball(3, cap=52)
+    assert len(F2.ball(3, cap=53)) == 53
+
+
 def test_box_generators_ball():
     box1 = {Z2.vector(w) for w in Z2.ball(1, gens=tuple(Z2.box_generators()))}
     assert box1 == {(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)}
