@@ -16,14 +16,17 @@ import sys
 
 from .actions import ConstantConeMap, equivariance_check, orbit
 from .amalgam import (
-    amalgam_normal_form, free_product_amalgam, malnormality_check,
-    square_amalgam,
+    MalnormalityReport, amalgam_normal_form, free_product_amalgam,
+    malnormality_check, square_amalgam,
 )
 from .census import (
     CENSUS_DOMAIN_CAP, census_digest, enumerate_ball_cones, extendable_filter,
 )
 from .cones import check_cone_axioms_on_ball, detect_slope, lex_cone
-from .conrad import conradian_check, convexity_check, cyclic_subgroup
+from .conrad import (
+    ConradianReport, ConvexityReport, conradian_check, convexity_check,
+    cyclic_subgroup,
+)
 from .errors import LeftOrderError
 from .freeprod import (
     basis_word, conj_basis, expand, exponent_sum, kernel_decompose,
@@ -76,7 +79,8 @@ def _words(ctx: GroupCtx, text: str):
     return [_word(ctx, part) for part in text.split(",") if part.strip()]
 
 
-def _cone(args, ctx=None):
+def _cone(args):
+    ctx = _group(args.group) if args.group else None
     return cone_from_dict(json.loads(args.cone), ctx)
 
 
@@ -94,8 +98,7 @@ def _emit(args, command: str, config: dict, result: dict, witnesses=()) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 def _cmd_sign(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     w = _word(cone.ctx, args.word)
     s = cone.sign(w)
     _emit(args, "sign", {"cone": cone_to_dict(cone), "word": w.pairs()},
@@ -104,8 +107,7 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     rep = check_cone_axioms_on_ball(cone, args.r)
     _emit(args, "axioms", {"cone": cone_to_dict(cone), "r": args.r},
           rep.to_dict(), [] if rep.ok else [rep.to_dict()])
@@ -113,8 +115,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     conjugators = _words(cone.ctx, args.conjugators)
     rep = orbit(cone, conjugators, strategy=args.strategy, radius=args.radius,
                 max_size=args.max_size)
@@ -126,8 +127,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_conradian(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     rep = conradian_check(cone, args.r, collect_all=args.all)
     _emit(args, "conradian", {"cone": cone_to_dict(cone), "r": args.r},
           rep.to_dict(),
@@ -136,8 +136,7 @@ def _cmd_conradian(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     gen = _word(cone.ctx, args.subgroup)
     sub = cyclic_subgroup(cone.ctx, gen)
     rep = convexity_check(cone, sub, args.r)
@@ -148,8 +147,7 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_slope(args) -> int:
-    ctx = _group(args.group) if args.group else None
-    cone = _cone(args, ctx)
+    cone = _cone(args)
     res = detect_slope(cone, args.r)
     _emit(args, "slope", {"cone": cone_to_dict(cone), "r": args.r},
           res.to_dict())
@@ -188,7 +186,7 @@ def _cmd_conj_basis(args) -> int:
     by = _word(ctx, args.by)
     out = conj_basis(ctx, (g, h), by)
     general = kernel_decompose(
-        ctx.mul(ctx.mul(by, expand(basis_word(ctx, [(g, h, 1)]))), ctx.inv(by)))
+        ctx.conj(by, expand(basis_word(ctx, [(g, h, 1)]))))
     _emit(args, "conj-basis",
           {"group": args.group, "g": g.pairs(), "h": h.pairs(), "by": by.pairs()},
           {"basis": out.serial(), "expanded": expand(out).pairs(),
@@ -276,9 +274,7 @@ def _cmd_verify_identities(args) -> int:
                          (("a", a_exp), ("b", b_exp))):
             by = ctx.word(list(by_pairs))
             closed = conj_basis(ctx, label, by)
-            direct = ctx.mul(
-                ctx.mul(by, expand(basis_word(ctx, [(*label, 1)]))),
-                ctx.inv(by))
+            direct = ctx.conj(by, expand(basis_word(ctx, [(*label, 1)])))
             if expand(closed) != direct:
                 failures.append({"trial": trial, "by": by.pairs()})
     _emit(args, "verify-identities",
@@ -308,6 +304,16 @@ def _cmd_equivariance(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _witness_words(ctx: GroupCtx, witnesses, arity: int) -> list:
+    """Parse every witness into a tuple of ``arity`` words before any is checked."""
+    out = []
+    for item in witnesses:
+        if len(item) != arity:
+            raise ValueError(f"witness {item!r} does not have {arity} words")
+        out.append(tuple(word_from_pairs(ctx, p) for p in item))
+    return out
+
+
 def _cmd_verify_witness(args) -> int:
     try:
         doc = json.loads(args.report)
@@ -316,47 +322,30 @@ def _cmd_verify_witness(args) -> int:
             doc = json.load(fh)
     command = doc["command"]
     config = doc["config"]
-    ok = False
+    # certify reads only the witnesses (and the factor side), so the rebuilt
+    # reports carry passed=False and radius 0
     if command == "axioms":
         cone = cone_from_dict(config["cone"])
         rep = check_cone_axioms_on_ball(cone, config["r"])
         ok = rep.to_dict() == doc["result"]
     elif command == "conradian":
         cone = cone_from_dict(config["cone"])
-        ctx = cone.ctx
-        ok = bool(doc["witnesses"])
-        for gp, hp in doc["witnesses"]:
-            g, h = word_from_pairs(ctx, gp), word_from_pairs(ctx, hp)
-            w = ctx.mul(ctx.mul(ctx.inv(g), h), ctx.mul(g, g))
-            ok = ok and cone.sign(g) == 1 and cone.sign(h) == 1 \
-                and cone.sign(w) == -1
+        found = _witness_words(cone.ctx, doc["witnesses"], 2)
+        ok = ConradianReport(False, 0, tuple(found)).certify(cone)
     elif command == "convexity":
         cone = cone_from_dict(config["cone"])
-        ctx = cone.ctx
-        sub = cyclic_subgroup(ctx, word_from_pairs(ctx, config["subgroup"]))
-        ok = bool(doc["witnesses"])
-        for c1p, fp, c2p in doc["witnesses"]:
-            c1 = word_from_pairs(ctx, c1p)
-            f = word_from_pairs(ctx, fp)
-            c2 = word_from_pairs(ctx, c2p)
-            ok = ok and sub.member(c1) and sub.member(c2) \
-                and not sub.member(f) \
-                and cone.sign(ctx.mul(ctx.inv(c1), f)) == 1 \
-                and cone.sign(ctx.mul(ctx.inv(f), c2)) == 1
+        sub = cyclic_subgroup(cone.ctx,
+                              word_from_pairs(cone.ctx, config["subgroup"]))
+        found = _witness_words(cone.ctx, doc["witnesses"], 3)
+        ok = bool(found) and all(ConvexityReport(False, 0, w).certify(cone, sub)
+                                 for w in found)
     elif command == "malnormal":
         oracles = _amalgam_instance(config["instance"])
-        ctx = oracles.ctx
         side = config["factor"]
-        ok = bool(doc["witnesses"])
-        for ap, wp in doc["witnesses"]:
-            aa = word_from_pairs(ctx, ap)
-            ww = word_from_pairs(ctx, wp)
-            fa = amalgam_normal_form(aa, oracles)
-            fw = amalgam_normal_form(ww, oracles)
-            conj = amalgam_normal_form(
-                ctx.mul(ctx.mul(ctx.inv(ww), aa), ww), oracles)
-            ok = ok and fa.in_factor(side) and not fa.is_identity() \
-                and not fw.in_factor(side) and conj.in_factor(side)
+        found = _witness_words(oracles.ctx, doc["witnesses"], 2)
+        ok = bool(found) and all(
+            MalnormalityReport(False, 0, side, w).certify(oracles)
+            for w in found)
     else:
         raise LeftOrderError(f"no witness verifier for command {command!r}")
     _emit(args, "verify-witness", {"command": command},

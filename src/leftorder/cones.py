@@ -18,7 +18,10 @@ from .errors import (
     InsufficientBasepointsError, InvalidConeError, InvalidEmbeddingError,
     InvalidSlopeError, NoSignError, WrongConstructorError,
 )
-from .surd import Mat2, QuadNum, mat2, primitive_vec, quad, sign_int_surd, sqrt_of
+from .surd import (
+    Mat2, QuadNum, cmp_triples, mat2, mobius_triple, primitive_vec,
+    sign_int_surd, sqrt_of,
+)
 from .words import (
     FreeCtx, GroupCtx, KleinCtx, ShortExactSeq, Word, ZPowCtx,
 )
@@ -181,6 +184,10 @@ class KleinCone(Cone):
     ex: int
     ey: int
 
+    def __post_init__(self):
+        if self.ex not in (1, -1) or self.ey not in (1, -1):
+            raise InvalidConeError("Klein cone signs ex, ey must be +1 or -1")
+
     def _sign(self, w: Word) -> int:
         b, a = self.ctx.yx_exponents(w)
         if a != 0:
@@ -232,27 +239,6 @@ def lex_cone(ses: ShortExactSeq, kernel_cone: Cone, quotient_cone: Cone) -> LexC
 
 # -- dynamical cone on the free group ---------------------------------------------
 
-def _triple_of(x: QuadNum) -> tuple[int, int, int, int]:
-    return (x.p, x.q, x.r, x.d)
-
-
-def _apply_mat(mat, t):
-    """Mobius image of (p + q sqrt(d))/r as a reduced integer triple."""
-    a, b, c, dd = mat
-    p, q, r, d = t
-    np_, nq = a * p + b * r, a * q
-    dp, dq = c * p + dd * r, c * q
-    denom = dp * dp - dq * dq * d
-    pp = np_ * dp - nq * dq * d
-    qq = nq * dp - np_ * dq
-    if denom < 0:
-        pp, qq, denom = -pp, -qq, -denom
-    g = gcd(gcd(abs(pp), abs(qq)), denom)
-    if g > 1:
-        pp, qq, denom = pp // g, qq // g, denom // g
-    return (pp, qq, denom, d)
-
-
 def _crossing(mat, t) -> int:
     """1 if the point sits above the pole of the map, else 0 (0 for c = 0)."""
     a, b, c, dd = mat
@@ -263,16 +249,6 @@ def _crossing(mat, t) -> int:
     if s == 0:
         raise InvalidConeError("basepoint hit a pole")
     return 1 if s > 0 else 0
-
-
-def _cmp_triples(t1, t2) -> int:
-    p1, q1, r1, d = t1
-    p2, q2, r2, _ = t2
-    a = p1 * r2 - p2 * r1
-    b = q1 * r2 - q2 * r1
-    if b == 0:
-        return _sgn(a)
-    return sign_int_surd(a, b, d)
 
 
 class _Lifted:
@@ -297,7 +273,7 @@ _BASE0 = (0, 1, 1, 2)  # sqrt(2); irrational, so it never meets a rational pole
 
 
 def _lift_of_matrix(mat, delta=0) -> _Lifted:
-    return _Lifted(mat, delta, _apply_mat(mat, _BASE0), _crossing(mat, _BASE0))
+    return _Lifted(mat, delta, mobius_triple(mat, _BASE0), _crossing(mat, _BASE0))
 
 
 def _lift_identity() -> _Lifted:
@@ -310,7 +286,7 @@ def _lift_compose(e1: _Lifted, e2: _Lifted) -> _Lifted:
     a, b, c, d = m1
     e, f, g, h = m2
     m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    img0 = _apply_mat(m1, e2.img0)
+    img0 = mobius_triple(m1, e2.img0)
     cross0 = _crossing(m, _BASE0)
     eps = e2.cross0 + _crossing(m1, e2.img0) - cross0
     out = _Lifted(m, e1.delta + e2.delta + eps, img0, cross0)
@@ -321,7 +297,7 @@ def _lift_inverse(e: _Lifted) -> _Lifted:
     a, b, c, d = e.mat
     det = a * d - b * c
     minv = (d, -b, -c, a) if det == 1 else (-d, b, c, -a)
-    img0 = _apply_mat(minv, _BASE0)
+    img0 = mobius_triple(minv, _BASE0)
     cross0 = _crossing(minv, _BASE0)
     # delta' solves (minv, delta') (m, delta) = identity
     eps = e.cross0 + _crossing(minv, e.img0) - 0
@@ -382,11 +358,11 @@ class DynamicalCone(Cone):
 
     def _sign_of_element(self, el: _Lifted) -> int:
         for bp in self.basepoints:
-            t = _triple_of(bp)
+            t = (bp.p, bp.q, bp.r, bp.d)
             n = _crossing(el.mat, t) + el.delta
             if n != 0:
                 return 1 if n > 0 else -1
-            c = _cmp_triples(_apply_mat(el.mat, t), t)
+            c = cmp_triples(mobius_triple(el.mat, t), t)
             if c != 0:
                 return c
         raise InsufficientBasepointsError(

@@ -146,9 +146,7 @@ def conj_basis(ctx: FreeProductCtx, label: tuple[Word, Word],
                                 (gf.mul(a, g), b, -1),
                                 (gf.mul(a, g), hf.mul(b, h), 1),
                                 (a, hf.mul(b, h), -1)])
-    conjugated = ctx.mul(ctx.mul(by, expand(basis_word(ctx, [(g, h, 1)]))),
-                         ctx.inv(by))
-    return kernel_decompose(conjugated)
+    return kernel_decompose(ctx.conj(by, expand(basis_word(ctx, [(g, h, 1)]))))
 
 
 def exponent_sum(k: KernelBasisWord, label: tuple[Word, Word]) -> int:

@@ -16,10 +16,6 @@ from .words import (
 )
 
 
-def ctx_to_dict(ctx: GroupCtx) -> dict:
-    return ctx.descriptor()
-
-
 def ctx_from_dict(d: dict) -> GroupCtx:
     fam = d["family"]
     if fam == "free":
@@ -87,28 +83,13 @@ def _quad_from_list(v) -> QuadNum:
 
 def cone_to_dict(c: Cone) -> dict:
     """Complete descriptor, sufficient to rebuild the cone."""
-    if isinstance(c, SlopeCone):
-        return {"kind": "slope", "a": list(c.a), "variant": c.variant,
-                "ctx": ctx_to_dict(c.ctx)}
-    if isinstance(c, QuadSlopeCone):
-        return {"kind": "quad_slope",
-                "a": [[x.p, x.q, x.r, x.d] for x in c.a],
-                "sign": "+" if c.positive_side > 0 else "-",
-                "ctx": ctx_to_dict(c.ctx)}
-    if isinstance(c, ZSignCone):
-        return {"kind": "zsign", "sign": c.positive_side,
-                "ctx": ctx_to_dict(c.ctx)}
-    if isinstance(c, KleinCone):
-        return {"kind": "klein", "ex": c.ex, "ey": c.ey,
-                "ctx": ctx_to_dict(c.ctx)}
+    if isinstance(c, (SlopeCone, QuadSlopeCone, ZSignCone, KleinCone,
+                      DynamicalCone)):
+        return {**c.descriptor(), "ctx": c.ctx.descriptor()}
     if isinstance(c, LexCone):
         return {"kind": "lex", "ses": ses_to_dict(c.ses),
                 "kernel": cone_to_dict(c.kernel_cone),
                 "quotient": cone_to_dict(c.quotient_cone)}
-    if isinstance(c, DynamicalCone):
-        return {"kind": "dynamical", "images": [m.rows() for m in c.images],
-                "basepoints": [[b.p, b.q, b.r, b.d] for b in c.basepoints],
-                "ctx": ctx_to_dict(c.ctx)}
     if isinstance(c, ConjugateCone):
         return {"kind": "conjugate", "by": c.by.pairs(),
                 "base": cone_to_dict(c.base)}

@@ -154,12 +154,7 @@ def _common_radicand(x: QuadNum, y: QuadNum) -> int:
 def quad_cmp(x: QuadNum, y: QuadNum) -> int:
     """Exact total-order comparison; returns LT, EQ or GT."""
     d = _common_radicand(x, y)
-    # x - y = ((p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)) / (r1 r2), r's > 0
-    a = x.p * y.r - y.p * x.r
-    b = x.q * y.r - y.q * x.r
-    if b == 0:
-        return (a > 0) - (a < 0)
-    return sign_int_surd(a, b, d)
+    return cmp_triples((x.p, x.q, x.r, d), (y.p, y.q, y.r, d))
 
 
 @dataclass(frozen=True)
@@ -213,18 +208,50 @@ def mat2(rows) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+# The Mobius/surd kernel works on integer tuples: (p, q, r, d) for
+# (p + q*sqrt(d))/r with r > 0, and (a, b, c, d) for a matrix.  The dynamical
+# cone calls it directly; quad_cmp and mobius_apply are its QuadNum front-ends.
+
+def cmp_triples(t1, t2) -> int:
+    """Exact comparison of two tuples over the radicand of the first."""
+    p1, q1, r1, d = t1
+    p2, q2, r2, _ = t2
+    # t1 - t2 = ((p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)) / (r1 r2), r's > 0
+    a = p1 * r2 - p2 * r1
+    b = q1 * r2 - q2 * r1
+    if b == 0:
+        return (a > 0) - (a < 0)
+    return sign_int_surd(a, b, d)
+
+
+def mobius_triple(mat, t):
+    """Mobius image (a x + b) / (c x + d) as a gcd-reduced tuple.
+
+    The denominator comes back 0 exactly when x is the pole of the map.
+    """
+    a, b, c, dd = mat
+    p, q, r, d = t
+    # numerator (a p + b r) + a q s over r; denominator (c p + d r) + c q s
+    # over r; multiply both by the conjugate of the denominator
+    np_, nq = a * p + b * r, a * q
+    dp, dq = c * p + dd * r, c * q
+    denom = dp * dp - dq * dq * d
+    pp = np_ * dp - nq * dq * d
+    qq = nq * dp - np_ * dq
+    if denom < 0:
+        pp, qq, denom = -pp, -qq, -denom
+    g = gcd(gcd(abs(pp), abs(qq)), denom)
+    if g > 1:
+        pp, qq, denom = pp // g, qq // g, denom // g
+    return (pp, qq, denom, d)
+
+
 def mobius_apply(m: Mat2, x: QuadNum) -> QuadNum:
     """Exact Mobius image (a x + b) / (c x + d), rationalized to canonical form."""
-    # numerator (a p + b r) + a q s over r; denominator (c p + d r) + c q s over r
-    np_, nq = m.a * x.p + m.b * x.r, m.a * x.q
-    dp, dq = m.c * x.p + m.d * x.r, m.c * x.q
-    if dp == 0 and dq == 0:
+    p, q, r, d = mobius_triple((m.a, m.b, m.c, m.d), (x.p, x.q, x.r, x.d))
+    if r == 0:
         raise PoleError(f"{m} has a pole at {x}")
-    # multiply by the conjugate of the denominator
-    denom = dp * dp - dq * dq * x.d
-    if denom == 0:
-        raise PoleError(f"{m} has a pole at {x}")
-    return quad(np_ * dp - nq * dq * x.d, nq * dp - np_ * dq, denom, x.d)
+    return quad(p, q, r, d)
 
 
 def primitive_vec(v: tuple[int, int]) -> tuple[int, int]:

@@ -10,7 +10,6 @@ abelianization are derived generically from the normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
@@ -305,13 +304,20 @@ class KleinCtx(GroupCtx):
         return AbelianImage((a,), ((b % 2, 2),))
 
 
-# -- free products -----------------------------------------------------------
+# -- free and direct products -------------------------------------------------
 
 @dataclass(frozen=True, repr=False)
-class FreeProductCtx(GroupCtx):
+class _ProductCtx(GroupCtx):
+    """Generators of each factor, renumbered after those of the factors before it.
+
+    Subclasses name their ``family`` and supply the normal form.
+    """
+
     factors: tuple[GroupCtx, ...]
     gen_names: tuple[str, ...] = ()
     offsets: tuple[int, ...] = ()
+
+    family = ""
 
     def __post_init__(self):
         names, offsets, at = [], [], 0
@@ -338,29 +344,8 @@ class FreeProductCtx(GroupCtx):
         off = self.offsets[i]
         return tuple((g + off, e) for g, e in syls)
 
-    def _normalize(self, syllables):
-        # stack of maximal factor runs, each kept in factor normal form;
-        # adjacent stack entries always carry distinct factors, so a run that
-        # cancels away simply exposes the previous run for further merging
-        stack: list[tuple[int, Syllables]] = []
-        for g, e in syllables:
-            if e == 0:
-                continue
-            i = self.factor_of(g)
-            if stack and stack[-1][0] == i:
-                prev = stack.pop()[1]
-                merged = self.factors[i]._normalize(prev + self._local(i, ((g, e),)))
-            else:
-                merged = self.factors[i]._normalize(self._local(i, ((g, e),)))
-            if merged:
-                stack.append((i, merged))
-        result: list[tuple[int, int]] = []
-        for i, run in stack:
-            result.extend(self._global(i, run))
-        return tuple(result)
-
     def descriptor(self):
-        return {"family": "free_product",
+        return {"family": self.family,
                 "factors": [f.descriptor() for f in self.factors]}
 
     def factor_word(self, i: int, w: Word) -> Word:
@@ -383,30 +368,33 @@ class FreeProductCtx(GroupCtx):
         return AbelianImage(tuple(free), tuple(torsion))
 
 
-# -- direct products ---------------------------------------------------------
+class FreeProductCtx(_ProductCtx):
+    family = "free_product"
 
-@dataclass(frozen=True, repr=False)
-class DirectProductCtx(GroupCtx):
-    factors: tuple[GroupCtx, ...]
-    gen_names: tuple[str, ...] = ()
-    offsets: tuple[int, ...] = ()
+    def _normalize(self, syllables):
+        # stack of maximal factor runs, each kept in factor normal form;
+        # adjacent stack entries always carry distinct factors, so a run that
+        # cancels away simply exposes the previous run for further merging
+        stack: list[tuple[int, Syllables]] = []
+        for g, e in syllables:
+            if e == 0:
+                continue
+            i = self.factor_of(g)
+            if stack and stack[-1][0] == i:
+                prev = stack.pop()[1]
+                merged = self.factors[i]._normalize(prev + self._local(i, ((g, e),)))
+            else:
+                merged = self.factors[i]._normalize(self._local(i, ((g, e),)))
+            if merged:
+                stack.append((i, merged))
+        result: list[tuple[int, int]] = []
+        for i, run in stack:
+            result.extend(self._global(i, run))
+        return tuple(result)
 
-    def __post_init__(self):
-        names, offsets, at = [], [], 0
-        for f in self.factors:
-            offsets.append(at)
-            names.extend(f.gen_names)
-            at += len(f.gen_names)
-        if len(set(names)) != len(names):
-            raise MalformedWordError("factor generator names collide")
-        object.__setattr__(self, "gen_names", tuple(names))
-        object.__setattr__(self, "offsets", tuple(offsets))
 
-    def factor_of(self, g: int) -> int:
-        for i in reversed(range(len(self.factors))):
-            if g >= self.offsets[i]:
-                return i
-        raise MalformedWordError(f"generator id {g} out of range")
+class DirectProductCtx(_ProductCtx):
+    family = "direct_product"
 
     def _normalize(self, syllables):
         per = [[] for _ in self.factors]
@@ -418,29 +406,6 @@ class DirectProductCtx(GroupCtx):
             off = self.offsets[i]
             out.extend((g + off, e) for g, e in f._normalize(tuple(per[i])))
         return tuple(out)
-
-    def descriptor(self):
-        return {"family": "direct_product",
-                "factors": [f.descriptor() for f in self.factors]}
-
-    def component(self, i: int, w: Word) -> Word:
-        self.check_word(w)
-        keep = [(g - self.offsets[i], e) for g, e in w.syllables
-                if self.factor_of(g) == i]
-        return Word(self.factors[i], self.factors[i]._normalize(tuple(keep)))
-
-    def embed_factor(self, i: int, w: Word) -> Word:
-        self.factors[i].check_word(w)
-        syls = tuple((g + self.offsets[i], e) for g, e in w.syllables)
-        return Word(self, self._normalize(syls))
-
-    def abelianize_word(self, w):
-        free, torsion = [], []
-        for i, f in enumerate(self.factors):
-            img = f.abelianize_word(self.component(i, w))
-            free.extend(img.free)
-            torsion.extend(img.torsion)
-        return AbelianImage(tuple(free), tuple(torsion))
 
 
 # -- semidirect products Z^2 x| Z ---------------------------------------------
@@ -507,87 +472,42 @@ class SemidirectCtx(GroupCtx):
 
 
 def _smith_quotient(m: Mat2, v: tuple[int, int]):
-    """Coordinates of v in Z^2 / m Z^2 via Smith normal form (2x2 case)."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    det = abs(a * d - b * c)
-    if det == 0:
-        if a == b == c == d == 0:
-            return list(v), []
-        # rank 1: the column lattice is g * w * Z for a primitive direction w
-        cols = [(a, c), (b, d)]
-        first = next(col for col in cols if col != (0, 0))
-        g0 = gcd(abs(first[0]), abs(first[1]))
-        w1, w2 = first[0] // g0, first[1] // g0
+    """Coordinates of v in Z^2 / m Z^2: free ones and (residue, modulus) flags.
 
-        def along_w(col):
-            return col[0] // w1 if w1 else col[1] // w2
-
-        g = gcd(abs(along_w(cols[0])), abs(along_w(cols[1])))
-        # complete w to a basis (w, u) with det 1 and split v = x w + y u
-        _, s, t = _xgcd(w1, w2)
-        x = s * v[0] + t * v[1]
-        y = -w2 * v[0] + w1 * v[1]
-        free = [y]
-        torsion = [] if g == 1 else [(x % g, g)]
-        return free, torsion
-    d1 = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
-    d2 = det // d1
-    free: list[int] = []
-    torsion = []
-    # residues of v read off after the row operations carried by u
-    u, s = _smith_transform(m)
-    w = (u[0][0] * v[0] + u[0][1] * v[1], u[1][0] * v[0] + u[1][1] * v[1])
-    for coord, dd in zip(w, (s[0], s[1])):
-        if dd == 1:
-            continue
-        torsion.append((coord % dd, dd))
-    return free, torsion
-
-
-def _xgcd(a: int, b: int):
-    """g, s, t with s a + t b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _smith_transform(m: Mat2):
-    """Row/column reduce m to diag(d1, d2); returns (row transform U, diag)."""
+    Row operations, applied to v as well, and column operations, which keep
+    the lattice m Z^2, bring m to diag(d0, d1) with d0 | d1.
+    """
     a = [[m.a, m.b], [m.c, m.d]]
-    u = [[1, 0], [0, 1]]
-    # make a[0][0] the gcd of the first column, clear below, then the rest
-    for _ in range(8):
-        if a[1][0] != 0:
-            if a[0][0] == 0 or (a[1][0] != 0 and abs(a[1][0]) < abs(a[0][0])):
-                a[0], a[1] = a[1], a[0]
-                u[0], u[1] = u[1], u[0]
-            if a[0][0] != 0:
-                q = a[1][0] // a[0][0]
-                a[1] = [a[1][i] - q * a[0][i] for i in range(2)]
-                u[1] = [u[1][i] - q * u[0][i] for i in range(2)]
-            continue
-        break
-    # clear a[0][1] with a column op (no effect on u)
-    if a[0][0] != 0 and a[0][1] != 0:
-        q = a[0][1] // a[0][0]
-        a[0][1] -= q * a[0][0]
+    x, y = v
+    while any(a[0]) or any(a[1]):
+        # move the entry of least magnitude to the pivot
+        _, i, j = min((abs(a[i][j]), i, j) for i in (0, 1) for j in (0, 1)
+                      if a[i][j])
+        if i:
+            a.reverse()
+            x, y = y, x
+        if j:
+            a = [row[::-1] for row in a]
+        p = a[0][0]
+        q = a[1][0] // p
+        a[1] = [a[1][0] - q * p, a[1][1] - q * a[0][1]]
+        y -= q * x
+        q = a[0][1] // p
+        a[0][1] -= q * p
         a[1][1] -= q * a[1][0]
-    if a[0][1] != 0:  # swap columns
-        a[0] = [a[0][1], a[0][0]]
-        a[1] = [a[1][1], a[1][0]]
-    d1, d2 = abs(a[0][0]), abs(a[1][1])
-    if d1 and d2 and d2 % d1 != 0:
-        g = gcd(d1, d2)
-        d1, d2 = g, d1 * d2 // g
-    return u, (d1 or 1, d2 or 1)
+        if a[0][1] or a[1][0]:
+            continue  # a remainder smaller than the pivot: pivot again
+        if a[1][1] % p == 0:
+            break
+        a[0][1] = a[1][1]  # add row 1 to row 0
+        x += y
+    free, torsion = [], []
+    for coord, d in ((x, abs(a[0][0])), (y, abs(a[1][1]))):
+        if d == 0:
+            free.append(coord)
+        elif d > 1:
+            torsion.append((coord % d, d))
+    return free, torsion
 
 
 # -- short exact sequences ----------------------------------------------------
@@ -610,9 +530,6 @@ class ShortExactSeq:
         h = self.project(g)
         rest = self.total.mul(g, self.total.inv(self.section(h)))
         return self.kernel_pull(rest)
-
-    def kernel_embedding_word(self, k: Word) -> Word:
-        return self.inject(k)
 
 
 def validate_ses(ses: ShortExactSeq, r: int = 3) -> None:
@@ -644,15 +561,15 @@ def direct_product_ses(dp: DirectProductCtx, kernel_factor: int = 0) -> ShortExa
         return dp.embed_factor(kf, k)
 
     def project(g):
-        return dp.component(qf, g)
+        return dp.factor_word(qf, g)
 
     def section(h):
         return dp.embed_factor(qf, h)
 
     def kernel_pull(g):
-        if not dp.component(qf, g).is_identity():
+        if not dp.factor_word(qf, g).is_identity():
             raise BrokenSESError(f"{g!r} is not a kernel element")
-        return dp.component(kf, g)
+        return dp.factor_word(kf, g)
 
     return ShortExactSeq(kernel, dp, quotient, inject, project, section,
                          kernel_pull,

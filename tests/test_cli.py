@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from leftorder.cli import main
 from leftorder.serialize import cone_from_dict, cone_to_dict, ses_from_dict
@@ -201,9 +205,73 @@ def test_unknown_descriptor_exits_2(capsys):
     assert code == 2
 
 
+def test_klein_signs_outside_pm1_exit_2(capsys):
+    for ex, ey in ((1, 0), (2, 1), (-1, 3)):
+        cone = json.dumps({"kind": "klein", "ex": ex, "ey": ey})
+        code, doc = run(capsys, "axioms", "--cone", cone)
+        assert code == 2 and doc is None
+
+
 def test_byte_reproducibility(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
         main(["census", "--group", "klein", "--r", "3", "--extend", "5",
               "--out", str(f)])
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def _verify(capsys, tmp_path, doc):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    return run(capsys, "verify-witness", "--report", str(report))
+
+
+def test_verify_witness_reproduces_and_rejects(capsys, tmp_path):
+    cases = [
+        (("conradian", "--cone", '{"kind":"dynamical"}', "--r", "3"),
+         [[["a", 1]], [["a", 1]]]),
+        (("malnormal", "--instance", "square", "--r", "3"),
+         [[["a", 2]], [["a", 1]]]),
+    ]
+    for argv, non_witness in cases:
+        code, doc = run(capsys, *argv)
+        assert code == 1 and doc["witnesses"]
+        code, out = _verify(capsys, tmp_path, doc)
+        assert code == 0 and out["result"]["reproduced"] is True
+        doc["witnesses"] = [non_witness]
+        code, out = _verify(capsys, tmp_path, doc)
+        assert code == 1 and out["result"]["reproduced"] is False
+        doc["witnesses"] = []
+        code, out = _verify(capsys, tmp_path, doc)
+        assert code == 1 and out["result"]["reproduced"] is False
+
+
+def test_verify_witness_wrong_arity_exits_2(capsys, tmp_path):
+    code, doc = run(capsys, "convexity", "--cone",
+                    '{"kind":"slope","a":[1,-1],"variant":"++"}',
+                    "--subgroup", "e1", "--r", "6")
+    assert code == 1
+    short = doc["witnesses"][0][:2]
+    # a malformed witness is rejected even after one that fails to certify
+    for witnesses in ([short], [[[], [], []], short]):
+        doc["witnesses"] = witnesses
+        code, out = _verify(capsys, tmp_path, doc)
+        assert code == 2 and out is None
+
+
+def test_traced_benchmark_job_runs():
+    """perfbench wraps src names by getattr; a rename must not break it."""
+    root = Path(__file__).resolve().parent.parent
+    request = json.dumps({"argv": ["sign", "--cone", '{"kind":"zsign","sign":1}',
+                                   "--word", "e1"],
+                          "trace": True, "spans_out": None})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "perfbench/job.py", request],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["error"] is None
+    assert report["exit"] == 0

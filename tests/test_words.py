@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -71,6 +73,13 @@ def test_unknown_generator_rejected():
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         F2.mul(F2.word([("a", 1)]), Z2.word([("e1", 1)]))
+    # free and direct products on the same factors are different groups
+    factors = ZXZ.factors
+    assert FreeProductCtx(factors) == ZXZ
+    assert DirectProductCtx(factors) != ZXZ
+    with pytest.raises(ContextMismatchError):
+        ZXZ.mul(ZXZ.word([("a", 1)]),
+                DirectProductCtx(factors).word([("a", 1)]))
 
 
 # -- multiplication, inversion, conjugation -----------------------------------
@@ -228,6 +237,47 @@ def test_abelianize_semidirect_degenerate_actions():
     tor = SemidirectCtx(Mat2(3, 2, 1, 1))
     assert tor.abelianize_word(tor.from_parts((1, 0), 0)).torsion == ((1, 2),)
     assert tor.abelianize_word(tor.from_parts((0, 1), 0)).torsion == ((0, 2),)
+
+
+def test_abelianize_semidirect_brute_force():
+    """H1 of Z^2 x|_A Z against (A - I)Z^2 for every unimodular A in [-6, 6]."""
+    box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+
+    def is_zero(img):
+        return not any(img.free) and not any(r for r, _ in img.torsion)
+
+    count = 0
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        if a * d - b * c not in (1, -1):
+            continue
+        count += 1
+        ctx = SemidirectCtx(Mat2(a, b, c, d))
+        m = ((a - 1, b), (c, d - 1))
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+        def image(v):
+            return ctx.abelianize_word(ctx.from_parts(v, 0))
+
+        e1, e2 = image((1, 0)), image((0, 1))
+        for v in box:
+            iv = image(v)
+            for e, ie in (((1, 0), e1), ((0, 1), e2)):
+                s = image((v[0] + e[0], v[1] + e[1]))
+                assert s.free == tuple(x + y for x, y in zip(iv.free, ie.free))
+                assert s.torsion == tuple(
+                    ((x + y) % n, n)
+                    for (x, n), (y, _) in zip(iv.torsion, ie.torsion))
+        for col in ((m[0][0], m[1][0]), (m[0][1], m[1][1])):
+            assert is_zero(image(col)), (a, b, c, d, col)
+        if det == 0:
+            continue
+        assert math.prod(n for _, n in e1.torsion) == abs(det), (a, b, c, d)
+        for x, y in box:
+            # v lies in (A - I)Z^2 iff adj(A - I) v is divisible by det
+            in_lattice = ((m[1][1] * x - m[0][1] * y) % det == 0
+                          and (m[0][0] * y - m[1][0] * x) % det == 0)
+            assert is_zero(image((x, y))) == in_lattice, (a, b, c, d, x, y)
+    assert count == 744
 
 
 def test_abelianize_is_homomorphism():
