@@ -27,7 +27,7 @@ from .conrad import (
     ConradianReport, ConvexityReport, conradian_check, convexity_check,
     cyclic_subgroup,
 )
-from .errors import LeftOrderError
+from .errors import LeftOrderError, MalformedWordError
 from .freeprod import (
     basis_word, conj_basis, expand, exponent_sum, kernel_decompose,
     normal_closure_criterion,
@@ -306,10 +306,13 @@ def _cmd_equivariance(args) -> int:
 
 def _witness_words(ctx: GroupCtx, witnesses, arity: int) -> list:
     """Parse every witness into a tuple of ``arity`` words before any is checked."""
+    if not isinstance(witnesses, list):
+        raise MalformedWordError(f"witnesses {witnesses!r} are not a list")
     out = []
     for item in witnesses:
-        if len(item) != arity:
-            raise ValueError(f"witness {item!r} does not have {arity} words")
+        if not isinstance(item, list) or len(item) != arity:
+            raise MalformedWordError(
+                f"witness {item!r} is not a list of {arity} words")
         out.append(tuple(word_from_pairs(ctx, p) for p in item))
     return out
 
@@ -320,6 +323,8 @@ def _cmd_verify_witness(args) -> int:
     except json.JSONDecodeError:
         with open(args.report) as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise LeftOrderError("report must be an object with a config object")
     command = doc["command"]
     config = doc["config"]
     # certify reads only the witnesses (and the factor side), so the rebuilt

@@ -351,7 +351,7 @@ class DynamicalCone(Cone):
             g, e = key[-1]
             step = 1 if e > 0 else -1
             prefix = key[:-1] if abs(e) == 1 else key[:-1] + ((g, e - step),)
-            out = _lift_compose(self._element(Word(self.ctx, prefix)),
+            out = _lift_compose(self._element(Word(self.ctx, prefix, True)),
                                 letters[(g, step)])
         self._memo[key] = out
         return out
@@ -538,18 +538,18 @@ class AxiomCheckReport:
 
 def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
     """Verify antisymmetry and positive-closure on B_r; first witness wins."""
-    ball = c.ctx.ball(r)
-    nonident = [w for w in ball if not w.is_identity()]
-    signs = {w: c.sign(w) for w in nonident}
+    ctx = c.ctx
+    nonident = [w for w in ctx.ball(r) if not w.is_identity()]
+    # keyed by normal-form syllables: every word here comes from ctx itself
+    signs = {w.syllables: c.sign(w) for w in nonident}
     for w in nonident:
-        if signs[w] != -signs[c.ctx.inv(w)]:
-            return AxiomCheckReport(False, "antisymmetry", (w, c.ctx.inv(w)), r)
-    in_ball = set(nonident)
-    positives = [w for w in nonident if signs[w] == 1]
+        if signs[w.syllables] != -signs[ctx.inv(w).syllables]:
+            return AxiomCheckReport(False, "antisymmetry", (w, ctx.inv(w)), r)
+    positives = [w for w in nonident if signs[w.syllables] == 1]
     for u in positives:
         for v in positives:
-            uv = c.ctx.mul(u, v)
-            if uv in in_ball and signs[uv] != 1:
+            uv = ctx.mul(u, v)
+            if signs.get(uv.syllables, 1) != 1:
                 return AxiomCheckReport(False, "closure", (u, v, uv), r)
     return AxiomCheckReport(True, None, (), r)
 

@@ -7,7 +7,7 @@ from .cones import (
     RestrictionCone, SlopeCone, ZSignCone, cyclic_embedding, dynamical_cone,
     lex_cone, quad_slope_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
-from .errors import MalformedWordError
+from .errors import InvalidConeError, MalformedWordError
 from .surd import QuadNum, mat2, quad
 from .words import (
     DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
@@ -17,6 +17,8 @@ from .words import (
 
 
 def ctx_from_dict(d: dict) -> GroupCtx:
+    if not isinstance(d, dict):
+        raise MalformedWordError(f"group descriptor {d!r} is not an object")
     fam = d["family"]
     if fam == "free":
         return FreeCtx(d["rank"], tuple(d.get("gens") or ()))
@@ -34,7 +36,20 @@ def ctx_from_dict(d: dict) -> GroupCtx:
     raise MalformedWordError(f"unknown family {fam!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def word_from_pairs(ctx: GroupCtx, pairs) -> Word:
+    """Word from JSON pairs [name-or-index, exponent]; the shapes are checked here."""
+    if not isinstance(pairs, (list, tuple)):
+        raise MalformedWordError(f"word {pairs!r} is not a list of pairs")
+    for p in pairs:
+        if (not isinstance(p, (list, tuple)) or len(p) != 2
+                or not (isinstance(p[0], str) or _is_int(p[0]))
+                or not _is_int(p[1])):
+            raise MalformedWordError(
+                f"syllable {p!r} is not a [generator, integer exponent] pair")
     return ctx.word([(g, e) for g, e in pairs])
 
 
@@ -108,6 +123,8 @@ def cone_to_dict(c: Cone) -> dict:
 
 def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
     """Rebuild a cone; ``ctx`` supplies the context when the dict omits it."""
+    if not isinstance(d, dict):
+        raise InvalidConeError(f"cone descriptor {d!r} is not an object")
     kind = d["kind"]
     if "ctx" in d:
         ctx = ctx_from_dict(d["ctx"])

@@ -186,8 +186,13 @@ class Mat2:
     def power(self, k: int) -> "Mat2":
         m = self if k >= 0 else self.inverse()
         out = MAT_IDENTITY
-        for _ in range(abs(k)):
-            out = out @ m
+        k = abs(k)
+        while k:  # repeated squaring
+            if k & 1:
+                out = out @ m
+            k >>= 1
+            if k:
+                m = m @ m
         return out
 
     def apply_vec(self, v: tuple[int, int]) -> tuple[int, int]:

@@ -5,6 +5,19 @@ Every group element is a :class:`Word`: a freely reduced sequence of
 family supplies a confluent normal form, so two words are equal in the group
 iff their normal forms coincide.  Multiplication, inversion, balls and
 abelianization are derived generically from the normal form.
+
+Trust rule: every word a context method returns (``word``, ``identity``,
+``mul``, ``inv``, ``normalize``, ``ball``, ``factor_word``, ``embed_factor``,
+``from_vector``, ``from_parts``) is already in that context's normal form and
+carries ``nf=True``.  Such a word skips ``check_word`` and ``_normalize`` when
+it comes back to the same context object.  A ``Word(ctx, syllables)`` built
+anywhere else has ``nf=False`` and is checked and normalized on first use, so
+a foreign context, an unknown generator id or unreduced syllables are handled
+exactly as before.  The marker is neither compared nor hashed.
+
+``mul`` multiplies two normal forms through ``_product(a, b)``.  Its default
+normalizes the concatenation; free groups and free products override it to
+cancel and merge only where the two words meet.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from .errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
     ResourceLimitError,
 )
-from .surd import Mat2
+from .surd import MAT_IDENTITY, Mat2
 
 Syllables = tuple[tuple[int, int], ...]
 
@@ -41,6 +54,7 @@ def _merge_reduce(syllables) -> Syllables:
 class Word:
     ctx: "GroupCtx"
     syllables: Syllables
+    nf: bool = field(default=False, compare=False, repr=False)
 
     def __mul__(self, other: "Word") -> "Word":
         return self.ctx.mul(self, other)
@@ -54,8 +68,13 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inv()
         out = self.ctx.identity()
-        for _ in range(abs(k)):
-            out = self.ctx.mul(out, base)
+        k = abs(k)
+        while k:  # repeated squaring
+            if k & 1:
+                out = self.ctx.mul(out, base)
+            k >>= 1
+            if k:
+                base = self.ctx.mul(base, base)
         return out
 
     def is_identity(self) -> bool:
@@ -97,6 +116,10 @@ class GroupCtx:
     def _normalize(self, syllables: Syllables) -> Syllables:
         raise NotImplementedError
 
+    def _product(self, a: Syllables, b: Syllables) -> Syllables:
+        """Normal form of the product of two normal forms."""
+        return self._normalize(a + b)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -106,6 +129,8 @@ class GroupCtx:
     # -- generic machinery ------------------------------------------------
 
     def check_word(self, w: Word) -> None:
+        if w.nf and w.ctx is self:
+            return
         if w.ctx is not self and w.ctx != self:
             raise ContextMismatchError(f"word {w!r} belongs to another context")
         for g, _ in w.syllables:
@@ -124,27 +149,36 @@ class GroupCtx:
             if not 0 <= g < len(self.gen_names):
                 raise MalformedWordError(f"generator id {g} out of range")
             syls.append((g, e))
-        return Word(self, self._normalize(tuple(syls)))
+        return Word(self, self._normalize(tuple(syls)), True)
 
     def identity(self) -> Word:
-        return Word(self, ())
+        return Word(self, (), True)
 
     def gens(self) -> list[Word]:
         return [self.word([(i, 1)]) for i in range(len(self.gen_names))]
 
-    def normalize(self, w: Word) -> Word:
+    def _nf(self, w: Word) -> Syllables:
+        """The normal form of w: its syllables when trusted, else checked and normalized."""
+        if w.nf and w.ctx is self:
+            return w.syllables
         self.check_word(w)
-        return Word(self, self._normalize(w.syllables))
+        return self._normalize(w.syllables)
+
+    def normalize(self, w: Word) -> Word:
+        if w.nf and w.ctx is self:
+            return w
+        return Word(self, self._nf(w), True)
 
     def mul(self, u: Word, v: Word) -> Word:
-        self.check_word(u)
-        self.check_word(v)
-        return Word(self, self._normalize(u.syllables + v.syllables))
+        # the trusted case of _nf, inlined: mul is the hottest call of every scan
+        a = u.syllables if u.nf and u.ctx is self else self._nf(u)
+        b = v.syllables if v.nf and v.ctx is self else self._nf(v)
+        return Word(self, self._product(a, b), True)
 
     def inv(self, u: Word) -> Word:
-        self.check_word(u)
-        rev = tuple((g, -e) for g, e in reversed(u.syllables))
-        return Word(self, self._normalize(rev))
+        # the inverse of a normal form need not be one (Klein, semidirect)
+        rev = tuple((g, -e) for g, e in reversed(self._nf(u)))
+        return Word(self, self._normalize(rev), True)
 
     def conj(self, g: Word, w: Word) -> Word:
         """g w g^-1."""
@@ -164,6 +198,9 @@ class GroupCtx:
                 if len(cached) > cap:
                     raise ResourceLimitError(
                         f"ball exceeds cap of {cap} elements")
+                if cached and cached[0].ctx is not self:
+                    # filled by an equal context: hand out words this one trusts
+                    return [Word(self, w.syllables, True) for w in cached]
                 return list(cached)
         letters = list(gens) if gens is not None else self.ball_generators()
         seen = {self.identity()}
@@ -206,6 +243,17 @@ class FreeCtx(GroupCtx):
 
     def _normalize(self, syllables):
         return _merge_reduce(syllables)
+
+    def _product(self, a, b):
+        # cancel inverse syllables where a and b meet, merge one partial
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1][0] == b[j][0]:
+            e = a[i - 1][1] + b[j][1]
+            if e:
+                return a[:i - 1] + ((b[j][0], e),) + b[j + 1:]
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     def descriptor(self):
         return {"family": "free", "rank": self.rank,
@@ -353,11 +401,12 @@ class _ProductCtx(GroupCtx):
         self.check_word(w)
         keep = [(g - self.offsets[i], e) for g, e in w.syllables
                 if self.factor_of(g) == i]
-        return Word(self.factors[i], self.factors[i]._normalize(tuple(keep)))
+        return Word(self.factors[i], self.factors[i]._normalize(tuple(keep)),
+                    True)
 
     def embed_factor(self, i: int, w: Word) -> Word:
-        self.factors[i].check_word(w)
-        return Word(self, self._normalize(self._global(i, w.syllables)))
+        # a factor normal form, renumbered, is a normal form of the product
+        return Word(self, self._global(i, self.factors[i]._nf(w)), True)
 
     def abelianize_word(self, w):
         free, torsion = [], []
@@ -391,6 +440,27 @@ class FreeProductCtx(_ProductCtx):
         for i, run in stack:
             result.extend(self._global(i, run))
         return tuple(result)
+
+    def _product(self, a, b):
+        # merge the last factor run of a with the first of b; when they cancel
+        # to nothing, the next pair of runs meets
+        factor_of = self.factor_of
+        while a and b:
+            i = factor_of(a[-1][0])
+            if factor_of(b[0][0]) != i:
+                break
+            s = len(a) - 1
+            while s and factor_of(a[s - 1][0]) == i:
+                s -= 1
+            t, n = 1, len(b)
+            while t < n and factor_of(b[t][0]) == i:
+                t += 1
+            f = self.factors[i]
+            merged = f._product(self._local(i, a[s:]), self._local(i, b[:t]))
+            if merged:
+                return a[:s] + self._global(i, merged) + b[t:]
+            a, b = a[:s], b[t:]
+        return a + b
 
 
 class DirectProductCtx(_ProductCtx):
@@ -429,11 +499,13 @@ class SemidirectCtx(GroupCtx):
 
     def state(self, syllables) -> tuple[int, int, int]:
         v1 = v2 = k = 0
+        m, at = MAT_IDENTITY, 0  # m = A^at, caught up with k when a lattice letter needs it
         for g, e in syllables:
             if g == self.T:
                 k += e
             elif g in (self.A1, self.A2):
-                m = self.matrix.power(k)
+                if at != k:
+                    m, at = m @ self.matrix.power(k - at), k
                 dv = m.apply_vec((e, 0) if g == self.A1 else (0, e))
                 v1, v2 = v1 + dv[0], v2 + dv[1]
             else:

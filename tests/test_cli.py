@@ -259,6 +259,31 @@ def test_verify_witness_wrong_arity_exits_2(capsys, tmp_path):
         assert code == 2 and out is None
 
 
+def test_sign_cone_not_an_object_exits_2(capsys):
+    code, out = run(capsys, "sign", "--cone", "[1]", "--word", "e1")
+    assert code == 2 and out is None
+    code, out = run(capsys, "sign", "--group", "[1]",
+                    "--cone", '{"kind":"zsign"}', "--word", "e1")
+    assert code == 2 and out is None
+
+
+def test_verify_witness_non_list_witness_exits_2(capsys, tmp_path):
+    code, doc = run(capsys, "conradian", "--cone", '{"kind":"dynamical"}',
+                    "--r", "3")
+    assert code == 1
+    doc["witnesses"] = [5]
+    code, out = _verify(capsys, tmp_path, doc)
+    assert code == 2 and out is None
+
+
+def test_verify_witness_mistyped_exponent_exits_2(capsys, tmp_path):
+    code, doc = run(capsys, "malnormal", "--instance", "square", "--r", "3")
+    assert code == 1
+    doc["witnesses"] = [[[["a", "x"]], [["b", 1]]]]
+    code, out = _verify(capsys, tmp_path, doc)
+    assert code == 2 and out is None
+
+
 def test_traced_benchmark_job_runs():
     """perfbench wraps src names by getattr; a rename must not break it."""
     root = Path(__file__).resolve().parent.parent

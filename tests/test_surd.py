@@ -148,6 +148,11 @@ def test_mat2_inverse_and_power():
     assert m @ m.inverse() == Mat2(1, 0, 0, 1)
     assert m.power(3) == m @ m @ m
     assert m.power(-2) == m.inverse() @ m.inverse()
+    acc = Mat2(1, 0, 0, 1)
+    for k in range(40):  # every bit pattern of the squaring up to 39
+        assert m.power(k) == acc
+        assert m.power(-k) @ acc == Mat2(1, 0, 0, 1)
+        acc = acc @ m
     swap = mat2([[0, 1], [1, 0]])
     assert swap.det() == -1
     assert swap @ swap.inverse() == Mat2(1, 0, 0, 1)

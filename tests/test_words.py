@@ -8,10 +8,11 @@ from leftorder.errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
     ResourceLimitError,
 )
+from leftorder.cones import dynamical_cone, slope_cone
 from leftorder.surd import Mat2
 from leftorder.words import (
     DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
-    ZPowCtx, direct_product_ses, semidirect_ses, validate_ses,
+    Word, ZPowCtx, direct_product_ses, semidirect_ses, validate_ses,
 )
 
 F2 = FreeCtx(2)
@@ -20,6 +21,11 @@ KLEIN = KleinCtx()
 SOL = SemidirectCtx(Mat2(2, 1, 1, 1))
 ZXZ = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
 ZXF2 = DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2)))
+# a free product whose first factor is itself a free product with a Klein
+# factor, and a direct product with a free-product factor
+NESTED_FP = FreeProductCtx((FreeProductCtx((ZPowCtx(1, ("u",)), KleinCtx())),
+                            FreeCtx(2, ("c", "d"))))
+NESTED_DP = DirectProductCtx((ZXZ, ZPowCtx(1, ("z",))))
 
 
 def rand_word(ctx, rng, max_syllables=6, max_exp=3):
@@ -80,6 +86,122 @@ def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         ZXZ.mul(ZXZ.word([("a", 1)]),
                 DirectProductCtx(factors).word([("a", 1)]))
+
+
+# -- the product hook and the trust rule --------------------------------------
+
+PRODUCT_FAMILIES = (F2, Z2, KLEIN, ZXZ, ZXF2, NESTED_FP, NESTED_DP, SOL)
+
+
+def test_product_hook_matches_normalize():
+    # _product on two normal forms is the normal form of their concatenation
+    rng = random.Random(11)
+    for ctx in PRODUCT_FAMILIES:
+        for _ in range(300):
+            u = rand_word(ctx, rng, max_syllables=8)
+            y = rand_word(ctx, rng, max_syllables=8)
+            v = rand_word(ctx, rng, max_syllables=8)
+            pairs = [
+                (u.syllables, v.syllables),
+                (u.syllables, ctx.inv(u).syllables),          # cancels fully
+                (ctx.mul(u, y).syllables,                     # cancels y, which
+                 ctx.mul(ctx.inv(y), v).syllables),           # spans several runs
+            ]
+            for a, b in pairs:
+                assert ctx._product(a, b) == ctx._normalize(a + b)
+
+
+def test_free_product_junction_cancels_across_runs():
+    a = ZXZ.word([("a", 1), ("b", 1), ("a", 2), ("b", 1)])
+    b = ZXZ.word([("b", -1), ("a", -2), ("b", -1), ("a", 3)])
+    assert ZXZ._product(a.syllables, b.syllables) == ((0, 4),)
+    assert ZXZ._product(a.syllables, ZXZ.inv(a).syllables) == ()
+    # the inner free product's runs cancel through the outer junction
+    w = NESTED_FP.word([("u", 1), ("x", 1), ("c", 1), ("y", 2), ("u", -1)])
+    assert NESTED_FP._product(w.syllables, NESTED_FP.inv(w).syllables) == ()
+    assert NESTED_FP.mul(w, NESTED_FP.inv(w)).is_identity()
+
+
+def test_external_bad_generator_still_rejected():
+    for ctx in (F2, ZXZ, KLEIN, SOL):
+        bad = Word(ctx, ((9, 1),))
+        good = ctx.gens()[0]
+        for op in (lambda: ctx.mul(bad, good), lambda: ctx.mul(good, bad),
+                   lambda: ctx.inv(bad), lambda: ctx.normalize(bad)):
+            with pytest.raises(MalformedWordError):
+                op()
+    for cone in (dynamical_cone(), slope_cone((1, 2), "++")):
+        with pytest.raises(MalformedWordError):
+            cone.sign(Word(cone.ctx, ((9, 1),)))
+
+
+def test_word_of_another_context_still_rejected():
+    a = F2.word([("a", 1)])  # built, and trusted, by F2
+    for op in (lambda: Z2.mul(Z2.gens()[0], a), lambda: Z2.inv(a),
+               lambda: Z2.normalize(a), lambda: ZXZ.embed_factor(0, a)):
+        with pytest.raises(ContextMismatchError):
+            op()
+    with pytest.raises(ContextMismatchError):
+        slope_cone((1, 2), "++").sign(a)
+    # an equal context built separately still accepts the word
+    other = FreeCtx(2)
+    assert other.mul(a, other.word([("b", 1)])) == F2.word([("a", 1), ("b", 1)])
+
+
+def test_unreduced_external_word_acts_as_its_normal_form():
+    raw = Word(F2, ((0, 1), (0, -1), (1, 2)))
+    nf = F2.word([("b", 2)])
+    a = F2.word([("a", 1)])
+    assert F2.normalize(raw).syllables == nf.syllables
+    assert F2.mul(raw, a).syllables == F2.mul(nf, a).syllables
+    assert F2.mul(a, raw).syllables == F2.mul(a, nf).syllables
+    assert F2.inv(raw).syllables == F2.inv(nf).syllables
+    cone = dynamical_cone(F2)
+    assert cone.sign(raw) == cone.sign(nf)
+
+
+def test_pow_by_squaring_matches_repeated_mul():
+    rng = random.Random(12)
+    for ctx in PRODUCT_FAMILIES:
+        for _ in range(20):
+            w = rand_word(ctx, rng)
+            for k in range(-9, 10):
+                base = w if k >= 0 else ctx.inv(w)
+                expect = ctx.identity()
+                for _ in range(abs(k)):
+                    expect = ctx.mul(expect, base)
+                assert w ** k == expect
+
+
+def _sol_by_letters(syllables):
+    """(v1, v2, k) by multiplying one letter at a time: (v, k)(v', k') = (v + A^k v', k + k')."""
+    a, a_inv = SOL.matrix, SOL.matrix.inverse()
+    v1 = v2 = k = 0
+    m = Mat2(1, 0, 0, 1)  # A^k
+    for g, e in syllables:
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if g == SOL.T:
+                k += step
+                m = m @ (a if step > 0 else a_inv)
+            else:
+                dv = m.apply_vec((step, 0) if g == SOL.A1 else (0, step))
+                v1, v2 = v1 + dv[0], v2 + dv[1]
+    return v1, v2, k
+
+
+def test_semidirect_state_matches_letter_products():
+    rng = random.Random(13)
+    for _ in range(300):  # small exponents
+        syls = tuple((rng.randrange(3), rng.choice([-3, -2, -1, 1, 2, 3]))
+                     for _ in range(rng.randint(0, 8)))
+        assert SOL.state(syls) == _sol_by_letters(syls)
+    # 20 syllables around t^800: lattice letters between large t powers
+    syls = []
+    for i in range(10):
+        syls += [(SOL.T, 800 if i % 2 == 0 else -799), (i % 2, rng.randint(1, 5))]
+    assert SOL.state(tuple(syls)) == _sol_by_letters(syls)
+    assert SOL.word(syls).syllables == SOL._normalize(tuple(syls))
 
 
 # -- multiplication, inversion, conjugation -----------------------------------
@@ -193,6 +315,14 @@ def test_ball_cap_on_cache_hit():
     with pytest.raises(ResourceLimitError):
         F2.ball(3, cap=52)
     assert len(F2.ball(3, cap=53)) == 53
+
+
+def test_ball_cache_hit_from_equal_context():
+    F2.ball(3)  # fills the cache for radius 3
+    other = FreeCtx(2)
+    ball = other.ball(3)
+    assert ball == F2.ball(3)
+    assert all(w.ctx is other for w in ball)
 
 
 def test_box_generators_ball():
