@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatchError, OrbitUndecidedError
 from .cones import (
-    Cone, ConjugateCone, KleinCone, LexCone, QuadSlopeCone, RestrictionCone,
-    SlopeCone, ZSignCone, detect_slope, restrict_cone, slope_cone,
+    Cone, ConjugateCone, KernelActionCone, KleinCone, LexCone, QuadSlopeCone,
+    RestrictionCone, SlopeCone, ZSignCone, detect_slope, restrict_cone,
+    slope_cone,
 )
-from .words import (
-    DirectProductCtx, GroupCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx,
-)
+from .serialize import cone_to_dict
+from .words import DirectProductCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx
 
 
 def conj_cone(c: Cone, g: Word) -> Cone:
@@ -39,28 +39,6 @@ def conj_cone(c: Cone, g: Word) -> Cone:
     if isinstance(c, ConjugateCone):
         return conj_cone(c.base, ctx.mul(g, c.by))
     return ConjugateCone(c, g)
-
-
-@dataclass(frozen=True)
-class KernelActionCone(Cone):
-    """Kernel cone transported by the automorphism k -> g^-1 k g of a normal kernel."""
-
-    ses: ShortExactSeq
-    base: Cone
-    g: Word
-
-    @property
-    def ctx(self) -> GroupCtx:
-        return self.ses.kernel
-
-    def _sign(self, w: Word) -> int:
-        total = self.ses.total
-        moved = total.mul(total.mul(total.inv(self.g), self.ses.inject(w)), self.g)
-        return self.base.sign(self.ses.kernel_pull(moved))
-
-    def descriptor(self):
-        return {"kind": "kernel_action", "g": self.g.pairs(),
-                "base": self.base.descriptor()}
 
 
 def kernel_conj_cone(ses: ShortExactSeq, kcone: Cone, g: Word) -> Cone:
@@ -195,7 +173,8 @@ class OrbitReport:
         return {"size": self.size, "strategy": self.strategy,
                 "radius": self.radius,
                 "conjugators": [g.pairs() for g in self.conjugators],
-                "representatives": [c.descriptor() for c in self.representatives],
+                "representatives": [cone_to_dict(c, False)
+                                    for c in self.representatives],
                 "witnesses": [[i, j, w.pairs() if w else None]
                               for i, j, w in self.separations]}
 
@@ -213,11 +192,6 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
     reps: list[Cone] = [c]
     frontier = [c]
     separations = []
-
-    def close():
-        return OrbitReport(tuple(reps), len(reps), strategy, radius,
-                           tuple(gens), tuple(separations))
-
     while frontier:
         nxt = []
         for rep in frontier:
@@ -247,7 +221,8 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
                                        strategy, radius, tuple(gens),
                                        tuple(separations))
         frontier = nxt
-    return close()
+    return OrbitReport(tuple(reps), len(reps), strategy, radius, tuple(gens),
+                       tuple(separations))
 
 
 # -- equivariant maps ------------------------------------------------------------------
@@ -260,9 +235,6 @@ class ConstantConeMap:
 
     def apply(self, cone: Cone) -> Cone:
         return self.value
-
-    def descriptor(self):
-        return {"kind": "constant", "value": self.value.descriptor()}
 
 
 @dataclass(frozen=True)
@@ -312,7 +284,7 @@ class RestrictedSample:
 
     def to_dict(self):
         return {"conjugator": self.conjugator.pairs(),
-                "cone": self.cone.descriptor(),
+                "cone": cone_to_dict(self.cone, False),
                 "verified": self.verified,
                 "detection": self.detection.to_dict()}
 

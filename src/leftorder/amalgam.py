@@ -23,10 +23,6 @@ class AmalgamOracles:
     weights: tuple[int, int]
     label: str
 
-    def in_core(self, side: int, p: int) -> bool:
-        w = self.weights[side]
-        return p == 0 if w == 0 else p % w == 0
-
     def decompose(self, side: int, p: int) -> tuple[int, int]:
         """p = weight * k + r with canonical representative exponent r."""
         w = self.weights[side]
@@ -106,15 +102,6 @@ def amalgam_normal_form(w: Word, oracles: AmalgamOracles) -> AmalgamForm:
         if r:
             stack.append((side, r))
     return AmalgamForm(oracles, core, tuple(stack))
-
-
-def _amalgam_mul(f1: AmalgamForm, f2: AmalgamForm) -> AmalgamForm:
-    word = f1.oracles.ctx.mul(f1.to_word(), f2.to_word())
-    return amalgam_normal_form(word, f1.oracles)
-
-
-def _amalgam_inv(f: AmalgamForm) -> AmalgamForm:
-    return amalgam_normal_form(f.oracles.ctx.inv(f.to_word()), f.oracles)
 
 
 def _ball_forms(oracles: AmalgamOracles, r: int) -> list[AmalgamForm]:

@@ -33,14 +33,9 @@ from .freeprod import (
     normal_closure_criterion,
 )
 from .serialize import (
-    NAMED_SES, cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict,
-    word_from_pairs,
+    cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict, word_from_pairs,
 )
-from .words import (
-    DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
-    SemidirectCtx, ZPowCtx,
-)
-from .surd import mat2
+from .words import FreeCtx, FreeProductCtx, GroupCtx, KleinCtx, ZPowCtx
 
 NAMED_GROUPS = {
     "klein": lambda: KleinCtx(),
@@ -48,8 +43,8 @@ NAMED_GROUPS = {
     "z2": lambda: ZPowCtx(2),
     "f2": lambda: FreeCtx(2),
     "zz-free": lambda: FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))),
-    "sol": lambda: SemidirectCtx(mat2([[2, 1], [1, 1]])),
-    "zxf2": lambda: DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2))),
+    "sol": lambda: ses_from_dict("sol").total,
+    "zxf2": lambda: ses_from_dict("zxf2").total,
 }
 
 
@@ -155,8 +150,7 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_lex(args) -> int:
-    ses = ses_from_dict(args.ses if args.ses in NAMED_SES
-                        else json.loads(args.ses))
+    ses = ses_from_dict(args.ses)
     kernel = cone_from_dict(json.loads(args.kernel), ses.kernel)
     quotient = cone_from_dict(json.loads(args.quotient), ses.quotient)
     cone = lex_cone(ses, kernel, quotient)
@@ -284,8 +278,7 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_equivariance(args) -> int:
-    ses = ses_from_dict(args.ses if args.ses in NAMED_SES
-                        else json.loads(args.ses))
+    ses = ses_from_dict(args.ses)
     theta = ConstantConeMap(cone_from_dict(json.loads(args.theta_const),
                                            ses.quotient))
     conjugators = _words(ses.total, args.conjugators)
@@ -358,6 +351,16 @@ def _cmd_verify_witness(args) -> int:
     return 0 if ok else 1
 
 
+def _int_from(low: int):
+    """argparse type for an integer flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leftorder",
@@ -377,22 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
         word={"required": True})
     add("axioms", _cmd_axioms,
         group={"default": None}, cone={"required": True},
-        r={"type": int, "default": 3})
+        r={"type": _int_from(0), "default": 3})
     add("orbit", _cmd_orbit,
         group={"default": None}, cone={"required": True},
         conjugators={"required": True}, strategy={"default": "exact"},
-        radius={"type": int, "default": 4},
-        max_size={"type": int, "default": 64})
+        radius={"type": _int_from(0), "default": 4},
+        max_size={"type": _int_from(0), "default": 64})
     add("conradian", _cmd_conradian,
         group={"default": None}, cone={"required": True},
-        r={"type": int, "default": 4},
+        r={"type": _int_from(0), "default": 4},
         all={"action": "store_true"})
     add("convexity", _cmd_convexity,
         group={"default": None}, cone={"required": True},
-        subgroup={"required": True}, r={"type": int, "default": 5})
+        subgroup={"required": True}, r={"type": _int_from(0), "default": 5})
     add("slope", _cmd_slope,
         group={"default": None}, cone={"required": True},
-        r={"type": int, "default": 8})
+        r={"type": _int_from(0), "default": 8})
     add("lex", _cmd_lex,
         ses={"required": True}, kernel={"required": True},
         quotient={"required": True}, word={"default": None})
@@ -407,20 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("amalgam-nf", _cmd_amalgam_nf,
         instance={"default": "square"}, word={"required": True})
     add("malnormal", _cmd_malnormal,
-        instance={"default": "square"}, factor={"type": int, "default": 0},
-        r={"type": int, "default": 4})
+        instance={"default": "square"},
+        factor={"type": int, "choices": (0, 1), "default": 0},
+        r={"type": _int_from(0), "default": 4})
     add("census", _cmd_census,
-        group={"required": True}, r={"type": int, "required": True},
-        extend={"type": int, "default": None}, ball={"default": "word"})
+        group={"required": True}, r={"type": _int_from(0), "required": True},
+        extend={"type": _int_from(0), "default": None}, ball={"default": "word"})
     add("verify-identities", _cmd_verify_identities,
-        count={"type": int, "default": 1000},
+        count={"type": _int_from(0), "default": 1000},
         seed={"type": int, "default": 0},
-        max_exp={"type": int, "default": 4})
+        max_exp={"type": _int_from(1), "default": 4})
     add("equivariance", _cmd_equivariance,
         ses={"required": True}, theta_const={"required": True},
         kernel={"required": True}, conjugators={"required": True},
-        samples={"type": int, "default": 20},
-        seed={"type": int, "default": 0}, r={"type": int, "default": 4})
+        samples={"type": _int_from(0), "default": 20},
+        seed={"type": int, "default": 0}, r={"type": _int_from(0), "default": 4})
     add("verify-witness", _cmd_verify_witness,
         report={"required": True})
     return parser

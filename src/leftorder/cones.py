@@ -5,7 +5,7 @@ positive set is closed under multiplication and meets each {w, w^-1} pair
 exactly once.  Concrete families: half-plane cones on Z^2 with rational or
 quadratic-surd slopes, the four Klein-bottle cones, lexicographic cones on
 group extensions, a dynamical cone on the free group built from an exact
-Mobius action, plus conjugate and restriction wrappers.
+Mobius action, plus conjugate, kernel-action and restriction wrappers.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class Cone:
             out = self.ctx.mul(out, w)
         return self.sign(out)
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
     def simplified(self) -> "Cone":
         return self
 
@@ -93,8 +90,13 @@ class SlopeCone(Cone):
     def slope(self) -> "Slope":
         return Slope(vec=primitive_vec((-self.a[1], self.a[0])))
 
-    def descriptor(self):
-        return {"kind": "slope", "a": list(self.a), "variant": self.variant}
+
+def _lattice(ctx: GroupCtx | None, rank: int) -> ZPowCtx:
+    """The lattice Z^rank a cone lives on: ``ctx`` when it is one, else an error."""
+    ctx = ZPowCtx(rank) if ctx is None else ctx
+    if not isinstance(ctx, ZPowCtx) or ctx.rank != rank:
+        raise InvalidSlopeError(f"this cone lives on Z^{rank}, not on {ctx!r}")
+    return ctx
 
 
 def slope_cone(a, variant: str, ctx: ZPowCtx | None = None) -> SlopeCone:
@@ -102,8 +104,7 @@ def slope_cone(a, variant: str, ctx: ZPowCtx | None = None) -> SlopeCone:
         raise InvalidSlopeError(f"variant must be one of {_VARIANTS}")
     if tuple(a) == (0, 0):
         raise InvalidSlopeError("zero vector has no associated cone")
-    if ctx is None:
-        ctx = ZPowCtx(2)
+    ctx = _lattice(ctx, 2)
     g = gcd(abs(a[0]), abs(a[1]))
     prim = (a[0] // g, a[1] // g)
     canon = primitive_vec(prim)
@@ -131,11 +132,6 @@ class QuadSlopeCone(Cone):
     def slope(self) -> "Slope":
         return Slope(direction=(-self.a[1], self.a[0]))
 
-    def descriptor(self):
-        return {"kind": "quad_slope",
-                "a": [[c.p, c.q, c.r, c.d] for c in self.a],
-                "sign": "+" if self.positive_side > 0 else "-"}
-
 
 def quad_slope_cone(a, sign_char: str, ctx: ZPowCtx | None = None) -> QuadSlopeCone:
     if sign_char not in ("+", "-"):
@@ -146,9 +142,8 @@ def quad_slope_cone(a, sign_char: str, ctx: ZPowCtx | None = None) -> QuadSlopeC
     if a1.is_zero() or a2.is_zero() or (a1 / a2).is_rational():
         raise WrongConstructorError(
             "rational slope: use slope_cone with its four variants")
-    if ctx is None:
-        ctx = ZPowCtx(2)
-    return QuadSlopeCone(ctx, (a1, a2), 1 if sign_char == "+" else -1)
+    return QuadSlopeCone(_lattice(ctx, 2), (a1, a2),
+                         1 if sign_char == "+" else -1)
 
 
 @dataclass(frozen=True)
@@ -162,16 +157,9 @@ class ZSignCone(Cone):
         (k,) = self.ctx.vector(w)
         return self.positive_side * _sgn(k)
 
-    def descriptor(self):
-        return {"kind": "zsign", "sign": self.positive_side}
-
 
 def z_cone(positive: bool = True, ctx: ZPowCtx | None = None) -> ZSignCone:
-    if ctx is None:
-        ctx = ZPowCtx(1)
-    if ctx.rank != 1:
-        raise InvalidSlopeError("z_cone lives on a rank-1 lattice")
-    return ZSignCone(ctx, 1 if positive else -1)
+    return ZSignCone(_lattice(ctx, 1), 1 if positive else -1)
 
 
 # -- Klein bottle cones ---------------------------------------------------------
@@ -185,17 +173,16 @@ class KleinCone(Cone):
     ey: int
 
     def __post_init__(self):
-        if self.ex not in (1, -1) or self.ey not in (1, -1):
-            raise InvalidConeError("Klein cone signs ex, ey must be +1 or -1")
+        if not (isinstance(self.ctx, KleinCtx) and type(self.ex) is type(self.ey) is int
+                and self.ex in (1, -1) and self.ey in (1, -1)):
+            raise InvalidConeError(
+                "a Klein cone needs a Klein context and integer signs ex, ey of +1 or -1")
 
     def _sign(self, w: Word) -> int:
         b, a = self.ctx.yx_exponents(w)
         if a != 0:
             return self.ex * _sgn(a)
         return self.ey * _sgn(b)
-
-    def descriptor(self):
-        return {"kind": "klein", "ex": self.ex, "ey": self.ey}
 
 
 def klein_cones(ctx: KleinCtx | None = None) -> list[KleinCone]:
@@ -224,11 +211,6 @@ class LexCone(Cone):
         if not h.is_identity():
             return self.quotient_cone.sign(h)
         return self.kernel_cone.sign(self.ses.kernel_pull(w))
-
-    def descriptor(self):
-        return {"kind": "lex", "ses": list(self.ses.descriptor),
-                "kernel": self.kernel_cone.descriptor(),
-                "quotient": self.quotient_cone.descriptor()}
 
 
 def lex_cone(ses: ShortExactSeq, kernel_cone: Cone, quotient_cone: Cone) -> LexCone:
@@ -387,11 +369,6 @@ class DynamicalCone(Cone):
                 "element fixes every basepoint of the dynamical cone")
         return self._sign_of_element(el)
 
-    def descriptor(self):
-        return {"kind": "dynamical",
-                "images": [m.rows() for m in self.images],
-                "basepoints": [[b.p, b.q, b.r, b.d] for b in self.basepoints]}
-
 
 def dynamical_cone(ctx: FreeCtx | None = None) -> DynamicalCone:
     """Default dynamical cone: a -> [[1,2],[0,1]], b -> [[1,0],[2,1]], at sqrt2, sqrt3.
@@ -432,9 +409,23 @@ class ConjugateCone(Cone):
             return ConjugateCone(base, self.by)
         return self
 
-    def descriptor(self):
-        return {"kind": "conjugate", "by": self.by.pairs(),
-                "base": self.base.descriptor()}
+
+@dataclass(frozen=True)
+class KernelActionCone(Cone):
+    """Kernel cone transported by the automorphism k -> g^-1 k g of a normal kernel."""
+
+    ses: ShortExactSeq
+    base: Cone
+    g: Word
+
+    @property
+    def ctx(self) -> GroupCtx:
+        return self.ses.kernel
+
+    def _sign(self, w: Word) -> int:
+        total = self.ses.total
+        moved = total.mul(total.mul(total.inv(self.g), self.ses.inject(w)), self.g)
+        return self.base.sign(self.ses.kernel_pull(moved))
 
 
 @dataclass(frozen=True)
@@ -502,17 +493,6 @@ class RestrictionCone(Cone):
         if base is not self.base:
             return RestrictionCone(base, self.embedding)
         return self
-
-    def descriptor(self):
-        tag = self.embedding.tag
-        if tag and tag[0] == "cyclic":
-            emb = {"type": "cyclic", "word": tag[1].pairs()}
-        elif tag and tag[0] == "ses_kernel":
-            emb = {"type": "ses_kernel", "ses": list(tag[1].descriptor)}
-        else:
-            emb = {"type": "opaque"}
-        return {"kind": "restriction", "embedding": emb,
-                "base": self.base.descriptor()}
 
 
 def restrict_cone(c: Cone, embedding: Embedding, check_radius: int = 2) -> RestrictionCone:

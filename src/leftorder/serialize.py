@@ -1,43 +1,78 @@
-"""JSON round-trips for contexts, words, short exact sequences and cones."""
+"""The one JSON codec for contexts, words, short exact sequences and cones.
+
+Readers check each shape and raise ``LeftOrderError`` on a bad one.
+"""
 
 from __future__ import annotations
 
+import json
+
 from .cones import (
-    Cone, ConjugateCone, DynamicalCone, KleinCone, LexCone, QuadSlopeCone,
-    RestrictionCone, SlopeCone, ZSignCone, cyclic_embedding, dynamical_cone,
-    lex_cone, quad_slope_cone, ses_kernel_embedding, slope_cone, z_cone,
+    Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
+    QuadSlopeCone, RestrictionCone, SlopeCone, ZSignCone, cyclic_embedding,
+    dynamical_cone, lex_cone, quad_slope_cone, ses_kernel_embedding,
+    slope_cone, z_cone,
 )
-from .errors import InvalidConeError, MalformedWordError
-from .surd import QuadNum, mat2, quad
+from .errors import LeftOrderError, MalformedWordError
+from .surd import Mat2, QuadNum, mat2, quad
 from .words import (
-    DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
-    SemidirectCtx, ShortExactSeq, Word, ZPowCtx, direct_product_ses,
+    BALL_ELEMENT_CAP, DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx,
+    KleinCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx, direct_product_ses,
     semidirect_ses,
 )
 
 
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise LeftOrderError(what)
+
+
+def _list(v, n: int | None, what: str, of: type | None = None):
+    """``v``, when it is a list of ``n`` items (any number for None) of type ``of``."""
+    _need(isinstance(v, (list, tuple)) and n in (None, len(v))
+          and all(of is None or type(x) is of for x in v),
+          f"{what} {v!r} has the wrong shape")
+    return v
+
+
+def _mat(rows) -> Mat2:
+    return mat2([_list(row, 2, "matrix row", int) for row in _list(rows, 2, "matrix")])
+
+
+def _quad(v) -> QuadNum:
+    p, q, r, d = _list(v, 4, "surd [p, q, r, d]", int)
+    _need(r != 0 and d >= 0, f"surd {v!r} needs r != 0 and d >= 0")
+    return quad(p, q, r, d)
+
+
+def _names(d: dict, count: int) -> tuple:
+    """The ``gens`` of a group descriptor: none, or ``count`` distinct strings."""
+    names = _list(d.get("gens") or (), None, "gens", str)
+    _need(len(names) in (0, count) and len(set(names)) == len(names),
+          f"gens {names!r} are not {count} distinct names")
+    return tuple(names)
+
+
 def ctx_from_dict(d: dict) -> GroupCtx:
-    if not isinstance(d, dict):
-        raise MalformedWordError(f"group descriptor {d!r} is not an object")
-    fam = d["family"]
-    if fam == "free":
-        return FreeCtx(d["rank"], tuple(d.get("gens") or ()))
-    if fam == "zpow":
-        return ZPowCtx(d["rank"], tuple(d.get("gens") or ()))
+    _need(isinstance(d, dict), f"group descriptor {d!r} is not an object")
+    fam = d.get("family")
+    if fam in ("free", "zpow"):
+        rank = d.get("rank")
+        _need(type(rank) is int and rank >= 0, f"rank {rank!r} is not a natural number")
+        names = _names(d, rank)
+        _need(names or rank <= (8 if fam == "free" else BALL_ELEMENT_CAP),
+              f"a {fam} group of rank {rank} needs its gens named")
+        return (FreeCtx if fam == "free" else ZPowCtx)(rank, names)
     if fam == "klein":
-        return KleinCtx(tuple(d.get("gens") or ("x", "y")))
-    if fam == "free_product":
-        return FreeProductCtx(tuple(ctx_from_dict(f) for f in d["factors"]))
-    if fam == "direct_product":
-        return DirectProductCtx(tuple(ctx_from_dict(f) for f in d["factors"]))
+        return KleinCtx(_names(d, 2) or ("x", "y"))
+    if fam in ("free_product", "direct_product"):
+        factors = _list(d.get("factors"), None, "factors")
+        cls = FreeProductCtx if fam == "free_product" else DirectProductCtx
+        return cls(tuple(map(ctx_from_dict, factors)))
     if fam == "semidirect":
-        return SemidirectCtx(mat2(d["matrix"]),
-                             tuple(d.get("gens") or ("a", "b", "t")))
-    raise MalformedWordError(f"unknown family {fam!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+        return SemidirectCtx(_mat(d.get("matrix")),
+                             _names(d, 3) or ("a", "b", "t"))
+    raise LeftOrderError(f"unknown family {fam!r}")
 
 
 def word_from_pairs(ctx: GroupCtx, pairs) -> Word:
@@ -46,8 +81,8 @@ def word_from_pairs(ctx: GroupCtx, pairs) -> Word:
         raise MalformedWordError(f"word {pairs!r} is not a list of pairs")
     for p in pairs:
         if (not isinstance(p, (list, tuple)) or len(p) != 2
-                or not (isinstance(p[0], str) or _is_int(p[0]))
-                or not _is_int(p[1])):
+                or not (isinstance(p[0], str) or type(p[0]) is int)
+                or type(p[1]) is not int):
             raise MalformedWordError(
                 f"syllable {p!r} is not a [generator, integer exponent] pair")
     return ctx.word([(g, e) for g, e in pairs])
@@ -66,75 +101,97 @@ NAMED_SES = {
 }
 
 
-def ses_to_dict(ses: ShortExactSeq) -> dict:
-    kind = ses.descriptor[0]
-    if kind == "semidirect":
-        return {"type": "semidirect", "matrix": ses.total.matrix.rows(),
-                "gens": list(ses.total.gen_names)}
-    if kind == "direct_product":
-        return {"type": "direct_product",
-                "factors": [f.descriptor() for f in ses.total.factors],
-                "kernel_factor": ses.descriptor[1]}
-    raise MalformedWordError(f"unknown ses kind {kind!r}")
+def ses_to_dict(ses: ShortExactSeq, full: bool = True):
+    """The total group's object, ``family`` renamed ``type``; or the tag list."""
+    if not full:
+        return list(ses.descriptor)
+    kind, *kernel_factor = ses.descriptor
+    d = {"type": kind, **ses.total.descriptor()}
+    del d["family"]
+    if kernel_factor:
+        d["kernel_factor"] = kernel_factor[0]
+    return d
 
 
 def ses_from_dict(d) -> ShortExactSeq:
+    """SES from a name in ``NAMED_SES``, JSON text, or an object with a ``type``."""
     if isinstance(d, str):
-        d = NAMED_SES[d]
-    if d["type"] == "semidirect":
-        ctx = SemidirectCtx(mat2(d["matrix"]),
-                            tuple(d.get("gens") or ("a", "b", "t")))
+        return ses_from_dict(NAMED_SES[d] if d in NAMED_SES else json.loads(d))
+    _need(isinstance(d, dict), f"ses descriptor {d!r} is not an object")
+    kind = d.get("type")
+    _need(kind in ("semidirect", "direct_product"), f"unknown ses type {kind!r}")
+    ctx = ctx_from_dict({**d, "family": kind})  # reads only the group's keys
+    if kind == "semidirect":
         return semidirect_ses(ctx)
-    if d["type"] == "direct_product":
-        ctx = DirectProductCtx(tuple(ctx_from_dict(f) for f in d["factors"]))
-        return direct_product_ses(ctx, d.get("kernel_factor", 0))
-    raise MalformedWordError(f"unknown ses type {d['type']!r}")
+    return direct_product_ses(ctx, d.get("kernel_factor", 0))
 
 
-def _quad_from_list(v) -> QuadNum:
-    p, q, r, d = v
-    return quad(p, q, r, d)
+def cone_to_dict(c: Cone, full: bool = True) -> dict:
+    """The JSON form of a cone.
 
-
-def cone_to_dict(c: Cone) -> dict:
-    """Complete descriptor, sufficient to rebuild the cone."""
-    if isinstance(c, (SlopeCone, QuadSlopeCone, ZSignCone, KleinCone,
-                      DynamicalCone)):
-        return {**c.descriptor(), "ctx": c.ctx.descriptor()}
+    ``full=True`` is the form that CLI configs echo and ``cone_from_dict``
+    reads back: every leaf carries its ``ctx`` and an SES is an object.
+    ``full=False`` is the form of orbit representatives and restricted
+    samples: no ``ctx``, and an SES is its tag list.
+    """
     if isinstance(c, LexCone):
-        return {"kind": "lex", "ses": ses_to_dict(c.ses),
-                "kernel": cone_to_dict(c.kernel_cone),
-                "quotient": cone_to_dict(c.quotient_cone)}
+        return {"kind": "lex", "ses": ses_to_dict(c.ses, full),
+                "kernel": cone_to_dict(c.kernel_cone, full),
+                "quotient": cone_to_dict(c.quotient_cone, full)}
     if isinstance(c, ConjugateCone):
         return {"kind": "conjugate", "by": c.by.pairs(),
-                "base": cone_to_dict(c.base)}
+                "base": cone_to_dict(c.base, full)}
+    if isinstance(c, KernelActionCone):
+        return {"kind": "kernel_action", "g": c.g.pairs(),
+                "base": cone_to_dict(c.base, full)}
     if isinstance(c, RestrictionCone):
         tag = c.embedding.tag
         if tag and tag[0] == "ses_kernel":
             emb = {"type": "ses_kernel"}
+            if not full:  # the full form reads the SES back from the lex base
+                emb["ses"] = ses_to_dict(tag[1], False)
         elif tag and tag[0] == "cyclic":
             emb = {"type": "cyclic", "word": tag[1].pairs()}
+        elif full:
+            raise LeftOrderError("opaque embedding cannot be serialized")
         else:
-            raise MalformedWordError("opaque embedding cannot be serialized")
+            emb = {"type": "opaque"}
         return {"kind": "restriction", "embedding": emb,
-                "base": cone_to_dict(c.base)}
-    raise MalformedWordError(f"cone {c!r} has no serialized form")
+                "base": cone_to_dict(c.base, full)}
+    if isinstance(c, SlopeCone):
+        d = {"kind": "slope", "a": list(c.a), "variant": c.variant}
+    elif isinstance(c, QuadSlopeCone):
+        d = {"kind": "quad_slope", "a": [[x.p, x.q, x.r, x.d] for x in c.a],
+             "sign": "+" if c.positive_side > 0 else "-"}
+    elif isinstance(c, ZSignCone):
+        d = {"kind": "zsign", "sign": c.positive_side}
+    elif isinstance(c, KleinCone):
+        d = {"kind": "klein", "ex": c.ex, "ey": c.ey}
+    elif isinstance(c, DynamicalCone):
+        d = {"kind": "dynamical", "images": [m.rows() for m in c.images],
+             "basepoints": [[b.p, b.q, b.r, b.d] for b in c.basepoints]}
+    else:
+        raise LeftOrderError(f"cone {c!r} has no serialized form")
+    if full:
+        d["ctx"] = c.ctx.descriptor()
+    return d
 
 
 def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
     """Rebuild a cone; ``ctx`` supplies the context when the dict omits it."""
-    if not isinstance(d, dict):
-        raise InvalidConeError(f"cone descriptor {d!r} is not an object")
+    _need(isinstance(d, dict), f"cone descriptor {d!r} is not an object")
     kind = d["kind"]
     if "ctx" in d:
         ctx = ctx_from_dict(d["ctx"])
     if kind == "slope":
-        return slope_cone(tuple(d["a"]), d["variant"], ctx or ZPowCtx(2))
+        return slope_cone(tuple(_list(d["a"], 2, "slope a", int)), d["variant"], ctx)
     if kind == "quad_slope":
-        a = tuple(_quad_from_list(v) for v in d["a"])
-        return quad_slope_cone(a, d["sign"], ctx or ZPowCtx(2))
+        a = tuple(map(_quad, _list(d["a"], 2, "quad_slope a")))
+        return quad_slope_cone(a, d["sign"], ctx)
     if kind == "zsign":
-        return z_cone(d.get("sign", 1) > 0, ctx or ZPowCtx(1))
+        sign = d.get("sign", 1)
+        _need(type(sign) is int and sign != 0, f"sign {sign!r} is not a nonzero integer")
+        return z_cone(sign > 0, ctx)
     if kind == "klein":
         return KleinCone(ctx or KleinCtx(), d["ex"], d["ey"])
     if kind == "lex":
@@ -142,24 +199,24 @@ def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
         return lex_cone(ses, cone_from_dict(d["kernel"], ses.kernel),
                         cone_from_dict(d["quotient"], ses.quotient))
     if kind == "dynamical":
-        base = dynamical_cone(ctx if isinstance(ctx, FreeCtx) else None)
+        ctx = ctx if isinstance(ctx, FreeCtx) else None
         if "images" not in d:
-            return base
-        return DynamicalCone(base.ctx,
-                             tuple(mat2(m) for m in d["images"]),
-                             tuple(_quad_from_list(b) for b in d["basepoints"]))
+            return dynamical_cone(ctx)
+        return DynamicalCone(
+            ctx or FreeCtx(2), tuple(map(_mat, _list(d["images"], None, "images"))),
+            tuple(map(_quad, _list(d["basepoints"], None, "basepoints"))))
     if kind == "conjugate":
         base = cone_from_dict(d["base"], ctx)
         return ConjugateCone(base, word_from_pairs(base.ctx, d["by"]))
     if kind == "restriction":
         base = cone_from_dict(d["base"], ctx)
         emb = d["embedding"]
-        if emb["type"] == "ses_kernel":
-            if not isinstance(base, LexCone):
-                raise MalformedWordError("ses_kernel restriction needs a lex base")
+        _need(isinstance(emb, dict), f"embedding {emb!r} is not an object")
+        if emb.get("type") == "ses_kernel":
+            _need(isinstance(base, LexCone), "ses_kernel restriction needs a lex base")
             return RestrictionCone(base, ses_kernel_embedding(base.ses))
-        if emb["type"] == "cyclic":
+        if emb.get("type") == "cyclic":
             w = word_from_pairs(base.ctx, emb["word"])
             return RestrictionCone(base, cyclic_embedding(base.ctx, w))
-        raise MalformedWordError(f"unknown embedding type {emb['type']!r}")
-    raise MalformedWordError(f"unknown cone kind {kind!r}")
+        raise LeftOrderError(f"unknown embedding type {emb.get('type')!r}")
+    raise LeftOrderError(f"unknown cone kind {kind!r}")

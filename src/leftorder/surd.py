@@ -198,9 +198,6 @@ class Mat2:
     def apply_vec(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 

@@ -624,8 +624,8 @@ def validate_ses(ses: ShortExactSeq, r: int = 3) -> None:
 
 def direct_product_ses(dp: DirectProductCtx, kernel_factor: int = 0) -> ShortExactSeq:
     """Split SES with the chosen factor as kernel and the other as quotient."""
-    if len(dp.factors) != 2:
-        raise MalformedWordError("SES needs a two-factor product")
+    if len(dp.factors) != 2 or type(kernel_factor) is not int or kernel_factor not in (0, 1):
+        raise MalformedWordError("SES needs a two-factor product and kernel factor 0 or 1")
     kf, qf = kernel_factor, 1 - kernel_factor
     kernel, quotient = dp.factors[kf], dp.factors[qf]
 

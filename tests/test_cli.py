@@ -7,8 +7,8 @@ from pathlib import Path
 from leftorder.cli import main
 from leftorder.serialize import cone_from_dict, cone_to_dict, ses_from_dict
 from leftorder.cones import (
-    KleinCone, dynamical_cone, lex_cone, quad_slope_cone, restrict_cone,
-    ses_kernel_embedding, slope_cone, z_cone,
+    ConjugateCone, KleinCone, cyclic_embedding, dynamical_cone, lex_cone,
+    quad_slope_cone, restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.actions import conj_cone
 from leftorder.surd import rational, sqrt_of
@@ -39,13 +39,22 @@ def test_cone_round_trips():
         DynamicalCone(FreeCtx(2), (mat2([[1, 3], [0, 1]]), mat2([[1, 0], [3, 1]])),
                       (sqrt_of(2), sqrt_of(5))),
     ]
+    zxf2, zxk = ses_from_dict("zxf2"), ses_from_dict("zxklein")
+    cones += [
+        lex_cone(zxf2, z_cone(False, zxf2.kernel), dynamical_cone(zxf2.quotient)),
+        lex_cone(zxk, z_cone(ctx=zxk.kernel), KleinCone(zxk.quotient, -1, 1)),
+    ]
+    lexc = cones[4]
+    dyn = dynamical_cone()
+    a, b = dyn.ctx.gens()
+    cones += [
+        conj_cone(dyn, a),
+        ConjugateCone(lexc, sol.total.word([("t", 1), ("a", -2)])),
+        restrict_cone(lexc, ses_kernel_embedding(sol)),
+        restrict_cone(dyn, cyclic_embedding(dyn.ctx, a * b ** -1)),
+    ]
     for c in cones:
         assert cone_from_dict(cone_to_dict(c)) == c
-    lexc = cones[4]
-    wrapped = conj_cone(dynamical_cone(), dynamical_cone().ctx.gens()[0])
-    assert cone_from_dict(cone_to_dict(wrapped)) == wrapped
-    restr = restrict_cone(lexc, ses_kernel_embedding(sol))
-    assert cone_from_dict(cone_to_dict(restr)) == restr
 
 
 # -- commands ------------------------------------------------------------------------
