@@ -17,7 +17,6 @@ from .cones import (
     RestrictionCone, SlopeCone, ZSignCone, detect_slope, restrict_cone,
     slope_cone,
 )
-from .serialize import cone_to_dict
 from .words import DirectProductCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx
 
 
@@ -80,11 +79,6 @@ class EqualityResult:
     verdict: str  # "equal" | "distinct" | "unknown"
     witness: Word | None = None
     radius: int | None = None
-
-    def to_dict(self):
-        return {"verdict": self.verdict,
-                "witness": self.witness.pairs() if self.witness else None,
-                "radius": self.radius}
 
 
 def _exact_comparable(c: Cone) -> bool:
@@ -167,16 +161,7 @@ class OrbitReport:
     strategy: str
     radius: int | None
     conjugators: tuple[Word, ...]
-    separations: tuple = ()        # (i, j, word) certifying rep i != rep j
-
-    def to_dict(self):
-        return {"size": self.size, "strategy": self.strategy,
-                "radius": self.radius,
-                "conjugators": [g.pairs() for g in self.conjugators],
-                "representatives": [cone_to_dict(c, False)
-                                    for c in self.representatives],
-                "witnesses": [[i, j, w.pairs() if w else None]
-                              for i, j, w in self.separations]}
+    witnesses: tuple = ()          # (i, j, word) certifying rep i != rep j
 
 
 def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
@@ -191,7 +176,7 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
                 gens.append(h)
     reps: list[Cone] = [c]
     frontier = [c]
-    separations = []
+    witnesses = []
     while frontier:
         nxt = []
         for rep in frontier:
@@ -209,20 +194,20 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
                             "cone equality undecided during orbit closure",
                             partial=OrbitReport(tuple(reps), "undecided",
                                                 strategy, radius, tuple(gens),
-                                                tuple(separations)))
+                                                tuple(witnesses)))
                     found.append((len(reps), j, res.witness))
                 if seen:
                     continue
                 reps.append(cand)
-                separations.extend(found)
+                witnesses.extend(found)
                 nxt.append(cand)
                 if len(reps) > max_size:
                     return OrbitReport(tuple(reps[:max_size]), "exceeded-bound",
                                        strategy, radius, tuple(gens),
-                                       tuple(separations))
+                                       tuple(witnesses))
         frontier = nxt
     return OrbitReport(tuple(reps), len(reps), strategy, radius, tuple(gens),
-                       tuple(separations))
+                       tuple(witnesses))
 
 
 # -- equivariant maps ------------------------------------------------------------------
@@ -240,14 +225,8 @@ class ConstantConeMap:
 @dataclass(frozen=True)
 class EquivarianceReport:
     ok: bool
-    witness: tuple | None = None   # (g, sample index, differing word)
+    witness: dict | None = None    # {conjugator, sample (index), word}
     radius: int = 0
-
-    def to_dict(self):
-        g, idx, w = self.witness if self.witness else (None, None, None)
-        return {"ok": self.ok, "radius": self.radius,
-                "witness": None if not self.witness else
-                {"conjugator": g.pairs(), "sample": idx, "word": w.pairs()}}
 
 
 def equivariance_check(theta, ses: ShortExactSeq, samples, r: int = 4,
@@ -269,7 +248,8 @@ def equivariance_check(theta, ses: ShortExactSeq, samples, r: int = 4,
             right = kernel_conj_cone(ses, theta.apply(cone), g)
         res = cone_equal(left, right, "ball", r)
         if res.verdict == "distinct":
-            return EquivarianceReport(False, (g, idx, res.witness), r)
+            return EquivarianceReport(
+                False, {"conjugator": g, "sample": idx, "word": res.witness}, r)
     return EquivarianceReport(True, None, r)
 
 
@@ -281,12 +261,6 @@ class RestrictedSample:
     cone: RestrictionCone
     verified: bool                # simplified descriptor agreed on the ball
     detection: object             # DetectResult
-
-    def to_dict(self):
-        return {"conjugator": self.conjugator.pairs(),
-                "cone": cone_to_dict(self.cone, False),
-                "verified": self.verified,
-                "detection": self.detection.to_dict()}
 
 
 def restricted_orbit_sample(c: Cone, embedding, conjugators, k: int,

@@ -73,11 +73,6 @@ class AmalgamForm:
         syls.extend((off[side], e) for side, e in self.letters)
         return self.oracles.ctx.word(syls)
 
-    def to_dict(self):
-        return {"core_exp": self.core_exp,
-                "letters": [[side, e] for side, e in self.letters],
-                "factor_length": len(self.letters)}
-
 
 def amalgam_normal_form(w: Word, oracles: AmalgamOracles) -> AmalgamForm:
     """Push core parts left (the core is central) and merge adjacent letters."""
@@ -105,29 +100,17 @@ def amalgam_normal_form(w: Word, oracles: AmalgamOracles) -> AmalgamForm:
 
 
 def _ball_forms(oracles: AmalgamOracles, r: int) -> list[AmalgamForm]:
-    ctx = oracles.ctx
-    letters = [ctx.word([(g, s)]) for g in (0, 1) for s in (1, -1)]
-    ident = amalgam_normal_form(ctx.identity(), oracles)
-    seen = {ident: ctx.identity()}
-    frontier = [ident]
-    for _ in range(r):
-        nxt = []
-        for f in frontier:
-            for let in letters:
-                word = ctx.mul(seen[f], let)
-                f2 = amalgam_normal_form(word, oracles)
-                if f2 not in seen:
-                    seen[f2] = f2.to_word()
-                    nxt.append(f2)
-        frontier = nxt
-    return sorted(seen, key=lambda f: f.to_word().shortlex_key())
+    """The amalgam's B_r: the normal form maps the free product onto it, so
+    the forms of the free product's B_r are exactly its elements."""
+    forms = {amalgam_normal_form(w, oracles) for w in oracles.ctx.ball(r)}
+    return sorted(forms, key=lambda f: f.to_word().shortlex_key())
 
 
 @dataclass(frozen=True)
 class MalnormalityReport:
     passed: bool
     radius: int
-    factor_side: int
+    factor: int
     witness: tuple[Word, Word] | None = None  # (subgroup element, conjugator)
 
     def certify(self, oracles: AmalgamOracles) -> bool:
@@ -135,7 +118,7 @@ class MalnormalityReport:
             return False
         aa, ww = self.witness
         ctx = oracles.ctx
-        side = self.factor_side
+        side = self.factor
         fa = amalgam_normal_form(aa, oracles)
         fw = amalgam_normal_form(ww, oracles)
         conj = amalgam_normal_form(
@@ -143,27 +126,19 @@ class MalnormalityReport:
         return (fa.in_factor(side) and not fa.is_identity()
                 and not fw.in_factor(side) and conj.in_factor(side))
 
-    def to_dict(self):
-        return {"passed": self.passed, "radius": self.radius,
-                "factor": self.factor_side,
-                "witness": None if self.witness is None else
-                [w.pairs() for w in self.witness]}
-
 
 def malnormality_check(oracles: AmalgamOracles, factor_side: int,
                        r: int) -> MalnormalityReport:
     """Search B_r for a in the factor, w outside it, with w^-1 a w back inside."""
     ctx = oracles.ctx
     forms = _ball_forms(oracles, r)
-    members = [f for f in forms
+    members = [f.to_word() for f in forms
                if f.in_factor(factor_side) and not f.is_identity()]
-    outsiders = [f for f in forms if not f.in_factor(factor_side)]
-    for fa in members:
-        aa = fa.to_word()
-        for fw in outsiders:
-            ww = fw.to_word()
-            conj = amalgam_normal_form(
-                ctx.mul(ctx.mul(ctx.inv(ww), aa), ww), oracles)
+    outsiders = [(w, ctx.inv(w)) for w in
+                 (f.to_word() for f in forms if not f.in_factor(factor_side))]
+    for aa in members:
+        for ww, ww_inv in outsiders:
+            conj = amalgam_normal_form(ctx.mul(ctx.mul(ww_inv, aa), ww), oracles)
             if conj.in_factor(factor_side):
                 return MalnormalityReport(False, r, factor_side, (aa, ww))
     return MalnormalityReport(True, r, factor_side)

@@ -33,7 +33,8 @@ from .freeprod import (
     normal_closure_criterion,
 )
 from .serialize import (
-    cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict, word_from_pairs,
+    cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict, to_json,
+    word_from_pairs,
 )
 from .words import FreeCtx, FreeProductCtx, GroupCtx, KleinCtx, ZPowCtx
 
@@ -105,7 +106,7 @@ def _cmd_axioms(args) -> int:
     cone = _cone(args)
     rep = check_cone_axioms_on_ball(cone, args.r)
     _emit(args, "axioms", {"cone": cone_to_dict(cone), "r": args.r},
-          rep.to_dict(), [] if rep.ok else [rep.to_dict()])
+          to_json(rep), [] if rep.ok else [to_json(rep)])
     return 0 if rep.ok else 1
 
 
@@ -117,7 +118,7 @@ def _cmd_orbit(args) -> int:
     _emit(args, "orbit",
           {"cone": cone_to_dict(cone), "conjugators": args.conjugators,
            "strategy": args.strategy, "max_size": args.max_size},
-          rep.to_dict())
+          to_json(rep))
     return 0
 
 
@@ -125,8 +126,7 @@ def _cmd_conradian(args) -> int:
     cone = _cone(args)
     rep = conradian_check(cone, args.r, collect_all=args.all)
     _emit(args, "conradian", {"cone": cone_to_dict(cone), "r": args.r},
-          rep.to_dict(),
-          [[g.pairs(), h.pairs()] for g, h in rep.witnesses])
+          to_json(rep), to_json(rep.witnesses))
     return 0 if rep.passed else 1
 
 
@@ -137,7 +137,7 @@ def _cmd_convexity(args) -> int:
     rep = convexity_check(cone, sub, args.r)
     _emit(args, "convexity",
           {"cone": cone_to_dict(cone), "subgroup": gen.pairs(), "r": args.r},
-          rep.to_dict(), [] if rep.passed else [rep.to_dict()["witness"]])
+          to_json(rep), [] if rep.passed else [to_json(rep.witness)])
     return 0 if rep.passed else 1
 
 
@@ -145,7 +145,7 @@ def _cmd_slope(args) -> int:
     cone = _cone(args)
     res = detect_slope(cone, args.r)
     _emit(args, "slope", {"cone": cone_to_dict(cone), "r": args.r},
-          res.to_dict())
+          to_json(res))
     return 0
 
 
@@ -200,8 +200,8 @@ def _cmd_closure_criterion(args) -> int:
     sums = {repr(label): exponent_sum(k, label) for label in labels}
     _emit(args, "closure-criterion",
           {"group": args.group, "letters": args.letters, "labels": args.labels},
-          {**res.to_dict(), "label_sums": sums},
-          [] if res.consistent else [res.to_dict()["violating"]])
+          {**to_json(res), "label_sums": sums},
+          [] if res.consistent else [to_json(res.violating)])
     return 0 if res.consistent else 1
 
 
@@ -218,7 +218,9 @@ def _cmd_amalgam_nf(args) -> int:
     w = _word(oracles.ctx, args.word)
     form = amalgam_normal_form(w, oracles)
     _emit(args, "amalgam-nf", {"instance": args.instance, "word": w.pairs()},
-          {**form.to_dict(), "canonical_word": form.to_word().pairs()})
+          {"core_exp": form.core_exp, "letters": to_json(form.letters),
+           "factor_length": form.factor_length(),
+           "canonical_word": form.to_word().pairs()})
     return 0
 
 
@@ -227,7 +229,7 @@ def _cmd_malnormal(args) -> int:
     rep = malnormality_check(oracles, args.factor, args.r)
     _emit(args, "malnormal",
           {"instance": args.instance, "factor": args.factor, "r": args.r},
-          rep.to_dict(), [] if rep.passed else [rep.to_dict()["witness"]])
+          to_json(rep), [] if rep.passed else [to_json(rep.witness)])
     return 0 if rep.passed else 1
 
 
@@ -293,7 +295,7 @@ def _cmd_equivariance(args) -> int:
           {"ses": args.ses, "theta": args.theta_const, "kernel": args.kernel,
            "conjugators": args.conjugators, "samples": args.samples,
            "seed": args.seed, "r": args.r},
-          rep.to_dict(), [] if rep.ok else [rep.to_dict()["witness"]])
+          to_json(rep), [] if rep.ok else [to_json(rep.witness)])
     return 0 if rep.ok else 1
 
 
@@ -324,8 +326,10 @@ def _cmd_verify_witness(args) -> int:
     # reports carry passed=False and radius 0
     if command == "axioms":
         cone = cone_from_dict(config["cone"])
-        rep = check_cone_axioms_on_ball(cone, config["r"])
-        ok = rep.to_dict() == doc["result"]
+        r = config.get("r")
+        if type(r) is not int or r < 0:
+            raise LeftOrderError(f"config r {r!r} is not a natural number")
+        ok = to_json(check_cone_axioms_on_ball(cone, r)) == doc["result"]
     elif command == "conradian":
         cone = cone_from_dict(config["cone"])
         found = _witness_words(cone.ctx, doc["witnesses"], 2)

@@ -321,21 +321,23 @@ class DynamicalCone(Cone):
         return lifted
 
     def _element(self, w: Word) -> _Lifted:
+        # peel last letters down to the longest memoized prefix, then compose
+        # forward, memoizing each prefix so that ball words share them
+        memo = self._memo
         key = w.syllables
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        letters = self._letters()
-        if not key:
-            out = _lift_identity()
-        else:
-            # peel the last letter so prefixes of ball words are shared
+        peeled = []
+        while (out := memo.get(key)) is None:
+            if not key:
+                out = memo[key] = _lift_identity()
+                break
             g, e = key[-1]
             step = 1 if e > 0 else -1
-            prefix = key[:-1] if abs(e) == 1 else key[:-1] + ((g, e - step),)
-            out = _lift_compose(self._element(Word(self.ctx, prefix, True)),
-                                letters[(g, step)])
-        self._memo[key] = out
+            peeled.append((key, (g, step)))
+            key = key[:-1] if abs(e) == 1 else key[:-1] + ((g, e - step),)
+        if peeled:
+            letters = self._letters()
+            for key, letter in reversed(peeled):
+                out = memo[key] = _lift_compose(out, letters[letter])
         return out
 
     def _sign_of_element(self, el: _Lifted) -> int:
@@ -511,10 +513,6 @@ class AxiomCheckReport:
     words: tuple = ()
     radius: int = 0
 
-    def to_dict(self):
-        return {"ok": self.ok, "kind": self.kind, "radius": self.radius,
-                "words": [w.pairs() for w in self.words]}
-
 
 def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
     """Verify antisymmetry and positive-closure on B_r; first witness wins."""
@@ -546,11 +544,6 @@ class Slope:
     def is_rational(self) -> bool:
         return self.vec is not None
 
-    def to_dict(self):
-        if self.vec is not None:
-            return {"rational": list(self.vec)}
-        return {"surd": [[c.p, c.q, c.r, c.d] for c in self.direction]}
-
 
 @dataclass(frozen=True)
 class DetectResult:
@@ -559,13 +552,6 @@ class DetectResult:
     variant: str | None
     sector: tuple[tuple[int, int], tuple[int, int]] | None
     radius: int
-
-    def to_dict(self):
-        return {"exact": self.exact,
-                "slope": self.slope.to_dict() if self.slope else None,
-                "variant": self.variant,
-                "sector": [list(v) for v in self.sector] if self.sector else None,
-                "radius": self.radius}
 
 
 def _angular_sorted_primitives(r: int) -> list[tuple[int, int]]:

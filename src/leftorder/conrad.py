@@ -61,10 +61,6 @@ class ConradianReport:
                 return False
         return bool(self.witnesses)
 
-    def to_dict(self):
-        return {"passed": self.passed, "radius": self.radius,
-                "witnesses": [[g.pairs(), h.pairs()] for g, h in self.witnesses]}
-
 
 def conradian_check(c: Cone, r: int, collect_all: bool = False) -> ConradianReport:
     """Scan positive pairs (g, h) in B_r for sign(g^-1 h g^2) != +.
@@ -106,11 +102,6 @@ class ConvexityReport:
                 and c.sign(ctx.mul(ctx.inv(c1), f)) == 1
                 and c.sign(ctx.mul(ctx.inv(f), c2)) == 1)
 
-    def to_dict(self):
-        return {"passed": self.passed, "radius": self.radius,
-                "witness": None if self.witness is None else
-                [w.pairs() for w in self.witness]}
-
 
 def convexity_check(c: Cone, subgroup: SubgroupSpec, r: int) -> ConvexityReport:
     """Find c1 < f < c2 with c1, c2 in the subgroup but f outside it.
@@ -143,10 +134,6 @@ class CofinalityReport:
     bound: int
     failed_at: int | None = None
 
-    def to_dict(self):
-        return {"holds": self.holds, "bound": self.bound,
-                "failed_at": self.failed_at}
-
 
 def cofinality_witness(c: Cone, u: Word, g: Word, bound: int) -> CofinalityReport:
     """Check u^n < g for every |n| <= bound; first failing exponent wins."""
@@ -165,11 +152,6 @@ class OrderHomReport:
     passed: bool
     radius: int
     witness: tuple[Word, Word] | None = None
-
-    def to_dict(self):
-        return {"passed": self.passed, "radius": self.radius,
-                "witness": None if self.witness is None else
-                [w.pairs() for w in self.witness]}
 
 
 def order_hom_check(c: Cone, phi, r: int, spot_pairs: int = 4000) -> OrderHomReport:

@@ -5,6 +5,8 @@ nonidentity; elements are stored as reduced words in that basis with labels
 kept in factor normal form.  Decomposition peels letters against the
 Schreier transversal {g h}: H-letters never emit a basis letter, a G-letter
 z at state (g, h) emits x[g,h] x[gz,h]^-1 with degenerate labels dropped.
+Over a syllable z^e these telescope to x[g,h] x[g z^e,h]^-1, so each
+syllable costs one step whatever the size of e.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def fp_project(w: Word) -> tuple[Word, Word]:
 
 
 def kernel_decompose(w: Word) -> KernelBasisWord:
-    """Express a kernel element in the commutator basis by left-to-right peeling."""
+    """Express a kernel element in the commutator basis by left-to-right peeling,
+    one syllable at a time."""
     ctx = _check_two_factor(w.ctx)
     g_part, h_part = fp_project(w)
     if not (g_part.is_identity() and h_part.is_identity()):
@@ -89,17 +92,14 @@ def kernel_decompose(w: Word) -> KernelBasisWord:
     letters: list[Letter] = []
     for gid, exp in ctx.normalize(w).syllables:
         i = ctx.factor_of(gid)
-        local = gid - ctx.offsets[i]
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if i == 1:
-                h_acc = hf.mul(h_acc, hf.word([(local, step)]))
-            else:
-                z = gf.word([(local, step)])
-                moved = gf.mul(g_acc, z)
-                letters.append((g_acc, h_acc, 1))
-                letters.append((moved, h_acc, -1))
-                g_acc = moved
+        syllable = ctx.factors[i].word([(gid - ctx.offsets[i], exp)])
+        if i == 1:
+            h_acc = hf.mul(h_acc, syllable)
+        else:
+            moved = gf.mul(g_acc, syllable)
+            letters.append((g_acc, h_acc, 1))
+            letters.append((moved, h_acc, -1))
+            g_acc = moved
     return KernelBasisWord(ctx, _reduce_letters(letters))
 
 
@@ -159,11 +159,6 @@ def exponent_sum(k: KernelBasisWord, label: tuple[Word, Word]) -> int:
 class ClosureCheck:
     consistent: bool
     violating: tuple[Word, Word] | None = None
-
-    def to_dict(self):
-        return {"consistent": self.consistent,
-                "violating": None if self.violating is None else
-                [self.violating[0].pairs(), self.violating[1].pairs()]}
 
 
 def normal_closure_criterion(k: KernelBasisWord, labels) -> ClosureCheck:

@@ -1,4 +1,4 @@
-"""The one JSON codec for contexts, words, short exact sequences and cones.
+"""The one JSON codec for contexts, words, short exact sequences, cones and results.
 
 Readers check each shape and raise ``LeftOrderError`` on a bad one.
 """
@@ -6,10 +6,11 @@ Readers check each shape and raise ``LeftOrderError`` on a bad one.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 from .cones import (
     Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
-    QuadSlopeCone, RestrictionCone, SlopeCone, ZSignCone, cyclic_embedding,
+    QuadSlopeCone, RestrictionCone, Slope, SlopeCone, ZSignCone, cyclic_embedding,
     dynamical_cone, lex_cone, quad_slope_cone, ses_kernel_embedding,
     slope_cone, z_cone,
 )
@@ -20,6 +21,10 @@ from .words import (
     KleinCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx, direct_product_ses,
     semidirect_ses,
 )
+
+
+# radicands read from JSON go through trial division in ``quad``
+SURD_RADICAND_CAP = 10 ** 6
 
 
 def _need(ok: bool, what: str) -> None:
@@ -41,7 +46,8 @@ def _mat(rows) -> Mat2:
 
 def _quad(v) -> QuadNum:
     p, q, r, d = _list(v, 4, "surd [p, q, r, d]", int)
-    _need(r != 0 and d >= 0, f"surd {v!r} needs r != 0 and d >= 0")
+    _need(r != 0 and 0 <= d <= SURD_RADICAND_CAP,
+          f"surd {v!r} needs r != 0 and 0 <= d <= {SURD_RADICAND_CAP}")
     return quad(p, q, r, d)
 
 
@@ -159,9 +165,9 @@ def cone_to_dict(c: Cone, full: bool = True) -> dict:
         return {"kind": "restriction", "embedding": emb,
                 "base": cone_to_dict(c.base, full)}
     if isinstance(c, SlopeCone):
-        d = {"kind": "slope", "a": list(c.a), "variant": c.variant}
+        d = {"kind": "slope", "a": to_json(c.a), "variant": c.variant}
     elif isinstance(c, QuadSlopeCone):
-        d = {"kind": "quad_slope", "a": [[x.p, x.q, x.r, x.d] for x in c.a],
+        d = {"kind": "quad_slope", "a": to_json(c.a),
              "sign": "+" if c.positive_side > 0 else "-"}
     elif isinstance(c, ZSignCone):
         d = {"kind": "zsign", "sign": c.positive_side}
@@ -169,12 +175,34 @@ def cone_to_dict(c: Cone, full: bool = True) -> dict:
         d = {"kind": "klein", "ex": c.ex, "ey": c.ey}
     elif isinstance(c, DynamicalCone):
         d = {"kind": "dynamical", "images": [m.rows() for m in c.images],
-             "basepoints": [[b.p, b.q, b.r, b.d] for b in c.basepoints]}
+             "basepoints": to_json(c.basepoints)}
     else:
         raise LeftOrderError(f"cone {c!r} has no serialized form")
     if full:
         d["ctx"] = c.ctx.descriptor()
     return d
+
+
+def to_json(v):
+    """The JSON form of a result: a word is its pairs, a surd ``[p, q, r, d]``,
+    a cone its compact form, a slope ``{"rational": ...}`` or ``{"surd": ...}``,
+    any other dataclass a dict of its fields; containers go item by item."""
+    if isinstance(v, Word):
+        return v.pairs()
+    if isinstance(v, QuadNum):
+        return [v.p, v.q, v.r, v.d]
+    if isinstance(v, Cone):
+        return cone_to_dict(v, False)
+    if isinstance(v, Slope):
+        return ({"rational": to_json(v.vec)} if v.is_rational()
+                else {"surd": to_json(v.direction)})
+    if is_dataclass(v):
+        return {f.name: to_json(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):
+        return {k: to_json(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [to_json(x) for x in v]
+    return v
 
 
 def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:

@@ -250,7 +250,7 @@ def test_constant_theta_fails_when_not_fixed():
     samples = [(x_conj, z_cone(ctx=ses.kernel))]
     rep = equivariance_check(theta, ses, samples, r=3)
     assert not rep.ok
-    assert rep.witness[0] == x_conj
+    assert rep.witness["conjugator"] == x_conj
 
 
 def test_equivariance_reverse_direction():
@@ -267,8 +267,8 @@ def test_equivariance_reverse_direction():
 def test_orbit_report_carries_separation_witnesses():
     x, y = KLEIN.gens()
     rep = orbit(KleinCone(KLEIN, 1, 1), [x, y])
-    assert rep.separations
-    for i, j, w in rep.separations:
+    assert rep.witnesses
+    for i, j, w in rep.witnesses:
         ci, cj = rep.representatives[i], rep.representatives[j]
         assert w is not None and ci.sign(w) != cj.sign(w)
 

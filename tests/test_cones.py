@@ -188,6 +188,16 @@ def test_dynamical_word_fixing_first_basepoint():
     assert c.sign(w) == -c.sign(w.inv())
 
 
+def test_dynamical_sign_of_long_powers():
+    # a power's lift is composed letter by letter; it must not recurse per letter
+    c = dynamical_cone()
+    a, b = c.ctx.gens()
+    assert c.sign(c.ctx.word([("a", 5000)])) == c.sign(a)
+    assert c.sign(c.ctx.word([("b", -7000)])) == -c.sign(b)
+    assert c.sign(c.ctx.word([("a", 5001), ("b", -3)])) == \
+        -c.sign(c.ctx.word([("b", 3), ("a", -5001)]))
+
+
 def test_dynamical_totality_ball6():
     c = dynamical_cone()
     for w in c.ctx.ball(6):

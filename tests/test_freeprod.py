@@ -7,7 +7,7 @@ from leftorder.freeprod import (
     basis_word, conj_basis, expand, exponent_sum, fp_project,
     kernel_decompose, normal_closure_criterion,
 )
-from leftorder.words import FreeProductCtx, ZPowCtx
+from leftorder.words import FreeCtx, FreeProductCtx, KleinCtx, ZPowCtx
 
 ZZ = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
 G, H = ZZ.factors
@@ -187,3 +187,50 @@ def test_closure_criterion_case_engine_small():
                 assert all(o.consistent for o in outcomes)
             else:
                 assert any(not o.consistent for o in outcomes), (i, j)
+
+
+# -- closed-form peeling -------------------------------------------------------------
+
+def _peel_letter_by_letter(word):
+    """Reference decomposition: one peeling step per letter."""
+    ctx = word.ctx
+    gf, hf = ctx.factors
+    g_acc, h_acc = gf.identity(), hf.identity()
+    letters = []
+    for gid, exp in ctx.normalize(word).syllables:
+        i = ctx.factor_of(gid)
+        z = ctx.factors[i].word([(gid - ctx.offsets[i], 1 if exp > 0 else -1)])
+        for _ in range(abs(exp)):
+            if i == 1:
+                h_acc = hf.mul(h_acc, z)
+            else:
+                moved = gf.mul(g_acc, z)
+                letters += [(g_acc, h_acc, 1), (moved, h_acc, -1)]
+                g_acc = moved
+    return basis_word(ctx, letters)
+
+
+@pytest.mark.parametrize("ctx", [
+    ZZ,
+    FreeProductCtx((FreeCtx(2, ("a", "b")), ZPowCtx(1, ("t",)))),
+    FreeProductCtx((KleinCtx(), FreeCtx(2, ("a", "b")))),
+])
+def test_closed_form_peeling_matches_letter_by_letter(ctx):
+    rng = random.Random(7)
+    n = sum(len(f.gen_names) for f in ctx.factors)
+    for _ in range(300):
+        u = ctx.word([(rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+                      for _ in range(rng.randint(0, 7))])
+        g, h = fp_project(u)
+        word = ctx.mul(ctx.mul(u, ctx.inv(ctx.embed_factor(1, h))),
+                       ctx.inv(ctx.embed_factor(0, g)))
+        assert kernel_decompose(word) == _peel_letter_by_letter(word)
+
+
+def test_huge_exponents_peel_in_one_step():
+    n = 10 ** 18
+    k = kernel_decompose(w(("a", n), ("b", 1), ("a", -n), ("b", -1)))
+    assert k.letters == ((A(n), B(1), 1),)
+    by = w(("a", n))
+    assert conj_basis(ZZ, (A(1), B(1)), by) == kernel_decompose(
+        ZZ.conj(by, expand(basis_word(ZZ, [(A(1), B(1), 1)]))))

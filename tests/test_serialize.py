@@ -6,16 +6,25 @@ import random
 
 import pytest
 
-from leftorder.actions import kernel_conj_cone
+from leftorder.actions import (
+    ConstantConeMap, cone_equal, equivariance_check, kernel_conj_cone, orbit,
+    restricted_orbit_sample,
+)
+from leftorder.amalgam import malnormality_check, square_amalgam
 from leftorder import cli
 from leftorder.cli import main
 from leftorder.cones import (
-    ConjugateCone, Embedding, KleinCone, RestrictionCone, cyclic_embedding,
-    dynamical_cone, lex_cone, quad_slope_cone, restrict_cone,
-    ses_kernel_embedding, slope_cone, z_cone,
+    AxiomCheckReport, ConjugateCone, Embedding, KleinCone, RestrictionCone,
+    cyclic_embedding, detect_slope, dynamical_cone, lex_cone, quad_slope_cone,
+    restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
+)
+from leftorder.conrad import (
+    cofinality_witness, conradian_check, convexity_check, cyclic_subgroup,
+    order_hom_check,
 )
 from leftorder.errors import LeftOrderError
-from leftorder.serialize import cone_to_dict, ses_from_dict
+from leftorder.freeprod import basis_word, normal_closure_criterion
+from leftorder.serialize import cone_to_dict, ses_from_dict, to_json
 from leftorder.surd import rational, sqrt_of
 from leftorder.words import KleinCtx, ZPowCtx
 
@@ -154,6 +163,31 @@ def test_out_of_range_flag_exits_2(capsys, argv):
     assert (code, out) == (2, "") and "error: argument" in err
 
 
+def test_radicand_cap(capsys):
+    # a radicand read from JSON is factored by trial division, so it is capped
+    quad = {"kind": "quad_slope", "a": [[1, 0, 1, 0], [0, 1, 1, 999983]], "sign": "+"}
+    dyn = {**DYN_COMPACT, "basepoints": [[0, 1, 1, 999983]]}
+    for cone, argv in ((quad, ("slope", "--r", "3")), (dyn, ("axioms", "--r", "1"))):
+        code, out, _ = run(capsys, *argv, "--cone", json.dumps(cone))
+        assert code == 0
+        cone = json.loads(json.dumps(cone).replace("999983", "100000000003"))
+        code, out, err = run(capsys, *argv, "--cone", json.dumps(cone))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_verify_witness_needs_a_natural_radius(capsys, tmp_path):
+    code, out, _ = run(capsys, "axioms", "--cone", '{"kind":"klein","ex":1,"ey":1}',
+                       "--r", "1")
+    assert code == 0
+    doc = json.loads(out)
+    report = tmp_path / "report.json"
+    for r in ("x", -1, True, 1.0, None):
+        doc["config"]["r"] = r
+        report.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-witness", "--report", str(report))
+        assert (code, out) == (2, "") and err.startswith("error: "), r
+
+
 def test_dynamical_cone_on_free_group_of_rank_3(capsys):
     images = [[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[3, 2], [1, 1]]]
     cone = json.dumps({"kind": "dynamical", "images": images,
@@ -162,6 +196,86 @@ def test_dynamical_cone_on_free_group_of_rank_3(capsys):
                        "--cone", cone, "--word", "c")
     assert code == 0
     assert json.loads(out)["config"]["cone"]["images"] == images
+
+
+
+# -- the result encoder -----------------------------------------------------------------
+
+def _report_cases():
+    """One report of each type, with the dict its former ``to_dict`` wrote."""
+    z2, klein, zxk = ZPowCtx(2), KleinCtx(), ses_from_dict("zxklein")
+    x, y = klein.gens()
+    diag = slope_cone((1, -1), "++")
+    quad = quad_slope_cone((rational(1), sqrt_of(2)), "+")
+    square = square_amalgam()
+    zz = square.ctx
+    a3, b1 = zz.factors[0].word([("a", 3)]), zz.factors[1].word([("b", 1)])
+    a1 = zz.factors[0].word([("a", 1)])
+    e1, e2 = z2.gens()
+    surd = {"surd": [[0, -1, 1, 2], [1, 0, 1, 0]]}
+    return [
+        (cone_equal(slope_cone((1, 0), "++"), slope_cone((1, 1), "++")),
+         {"verdict": "distinct", "witness": [["e1", 1], ["e2", -1]], "radius": None}),
+        (cone_equal(DYN, DYN),
+         {"verdict": "unknown", "witness": None, "radius": 0}),
+        (orbit(KleinCone(klein, 1, 1), [x, y]),
+         {"size": 2, "strategy": "exact", "radius": 4,
+          "conjugators": [[["x", 1]], [["x", -1]], [["y", 1]], [["y", -1]]],
+          "representatives": [{"kind": "klein", "ex": 1, "ey": 1},
+                              {"kind": "klein", "ex": 1, "ey": -1}],
+          "witnesses": [[1, 0, [["y", 1]]]]}),
+        (equivariance_check(ConstantConeMap(KleinCone(zxk.quotient, 1, 1)), zxk,
+                            [(zxk.total.word([("x", 1)]), z_cone(ctx=zxk.kernel))], 2),
+         {"ok": False, "radius": 2,
+          "witness": {"conjugator": [["x", 1]], "sample": 0, "word": [["y", 1]]}}),
+        (restricted_orbit_sample(SOL_LEX, ses_kernel_embedding(SOL),
+                                 [SOL.total.word([("t", 1)])], 1, detect_radius=2)[1],
+         {"conjugator": [["t", 1]],
+          "cone": {"kind": "restriction",
+                   "embedding": {"type": "ses_kernel", "ses": ["semidirect"]},
+                   "base": {**SOL_LEX_COMPACT,
+                            "kernel": {"kind": "slope", "a": [1, -1], "variant": "++"}}},
+          "verified": True,
+          "detection": {"exact": True, "slope": {"rational": [1, 1]}, "variant": "++",
+                        "sector": None, "radius": 2}}),
+        (AxiomCheckReport(False, "closure", (x, y, x * y), 2),
+         {"ok": False, "kind": "closure", "radius": 2,
+          "words": [[["x", 1]], [["y", 1]], [["y", -1], ["x", 1]]]}),
+        (diag.slope(), {"rational": [1, 1]}),
+        (quad.slope(), surd),
+        (detect_slope(quad, 2),
+         {"exact": True, "slope": surd, "variant": "+",
+          "sector": [[-1, 1], [-2, 1]], "radius": 2}),
+        (conradian_check(DYN, 3),
+         {"passed": False, "radius": 3,
+          "witnesses": [[[["a", 2]], [["a", 2], ["b", -1]]]]}),
+        (convexity_check(diag, cyclic_subgroup(z2, e1), 2),
+         {"passed": False, "radius": 2, "witness": [[], [["e2", -1]], [["e1", 1]]]}),
+        (cofinality_witness(slope_cone((1, 0), "++"), e1, e1, 5),
+         {"holds": False, "bound": 5, "failed_at": 1}),
+        (order_hom_check(slope_cone((1, 0), "++"), lambda w: z2.vector(w)[1], 2),
+         {"passed": False, "radius": 2, "witness": [[], [["e1", 1], ["e2", -1]]]}),
+        (malnormality_check(square, 0, 2),
+         {"passed": False, "radius": 2, "factor": 0,
+          "witness": [[["a", 2]], [["b", 1]]]}),
+        (normal_closure_criterion(basis_word(zz, [(a3, b1, 1)]), [(a1, b1)]),
+         {"consistent": False, "violating": [[["a", 3]], [["b", 1]]]}),
+    ]
+
+
+def test_to_json_pinned():
+    for report, expected in _report_cases():
+        assert to_json(report) == expected, type(report).__name__
+
+
+def test_amalgam_nf_result_pinned(capsys):
+    # AmalgamForm holds its oracles, so the command writes the form's keys itself
+    code, out, _ = run(capsys, "amalgam-nf", "--word", "a^3 b a^-5 b^3")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "core_exp": -1, "letters": [[0, 1], [1, 1], [0, 1], [1, 1]],
+        "factor_length": 4,
+        "canonical_word": [["a", -1], ["b", 1], ["a", 1], ["b", 1]]}
 
 
 # -- seeded fuzz ------------------------------------------------------------------------
