@@ -9,7 +9,7 @@ It is the independent oracle the classified cone families are checked against.
 
 The search runs on a :class:`BallIndex`: the ball's elements numbered
 ``0..n-1`` in shortlex order, their inverses and the in-ball closure triples
-as ints, built once per radius from raw normal forms on syllable tuples.
+as ints, built once per radius from the context's ``ball_products``.
 Signs live in an int list; propagation appends to a trail, and backtracking
 undoes the trail to the mark taken at the decision (as in MiniSat), with an
 explicit stack in place of recursion.
@@ -60,21 +60,11 @@ class BallIndex:
         ids = {s: i for i, s in enumerate(syls)}
         self.ids = ids
         # ball words are already normal, so the raw normal form suffices
-        norm, get = ctx._normalize, ids.get
-        inv = [ids[norm(tuple((g, -e) for g, e in reversed(s)))] for s in syls]
-        self.inv = inv
-        # u * w^-1 = p  iff  w * u^-1 = p^-1, so the pairs with w >= u give
-        # every triple, and each product is normalized once for two triples
-        inv_syls = [syls[i] for i in inv]
-        triples = []
-        for u, su in enumerate(syls):
-            products = map(get, map(norm, [su + s for s in inv_syls[u:]]))
-            for w, p in enumerate(products, u):
-                if p is not None:
-                    triples.append((u, inv[w], p))
-                    triples.append((w, inv[u], inv[p]))
+        norm = ctx._normalize
+        self.inv = [ids[norm(tuple((g, -e) for g, e in reversed(s)))]
+                    for s in syls]
         by_id: list[list[tuple[int, int, int]]] = [[] for _ in syls]
-        for t in triples:
+        for t in ctx.ball_products(r, gens):
             u, v, p = t
             by_id[u].append(t)
             if v != u:

@@ -320,24 +320,32 @@ class DynamicalCone(Cone):
             self._memo["letters"] = lifted
         return lifted
 
+    def _power(self, g: int, e: int) -> _Lifted:
+        """Lift of g^e by repeated squaring of the lifted letter, memoized
+        under the one-syllable word ``((g, e),)``."""
+        memo, key = self._memo, ((g, e),)
+        out = memo.get(key)
+        if out is None:
+            letter = out = self._letters()[(g, 1 if e > 0 else -1)]
+            for bit in bin(abs(e))[3:]:
+                out = _lift_compose(out, out)
+                if bit == "1":
+                    out = _lift_compose(out, letter)
+            memo[key] = out
+        return out
+
     def _element(self, w: Word) -> _Lifted:
-        # peel last letters down to the longest memoized prefix, then compose
-        # forward, memoizing each prefix so that ball words share them
-        memo = self._memo
-        key = w.syllables
-        peeled = []
-        while (out := memo.get(key)) is None:
-            if not key:
-                out = memo[key] = _lift_identity()
-                break
-            g, e = key[-1]
-            step = 1 if e > 0 else -1
-            peeled.append((key, (g, step)))
-            key = key[:-1] if abs(e) == 1 else key[:-1] + ((g, e - step),)
-        if peeled:
-            letters = self._letters()
-            for key, letter in reversed(peeled):
-                out = memo[key] = _lift_compose(out, letters[letter])
+        # peel syllables down to the longest memoized prefix, then compose
+        # forward one power at a time, memoizing each prefix so that ball
+        # words share them
+        memo, key, peeled = self._memo, w.syllables, []
+        while (out := memo.get(key)) is None and len(key) > 1:
+            peeled.append(key)
+            key = key[:-1]
+        if out is None:
+            out = self._power(*key[0]) if key else _lift_identity()
+        for key in reversed(peeled):
+            out = memo[key] = _lift_compose(out, self._power(*key[-1]))
         return out
 
     def _sign_of_element(self, el: _Lifted) -> int:
@@ -356,9 +364,9 @@ class DynamicalCone(Cone):
         return self._sign_of_element(self._element(w))
 
     def sign_of_product(self, words) -> int:
-        words = [self.ctx.normalize(w) for w in words]
-        el = _lift_identity()
-        for w in words:
+        words = [self.ctx.normalize(w) for w in words] or [self.ctx.identity()]
+        el = self._element(words[0])
+        for w in words[1:]:
             el = _lift_compose(el, self._element(w))
         if el.mat in ((1, 0, 0, 1), (-1, 0, 0, -1)) and el.delta == 0:
             # trivial cover element: decide whether the word itself is trivial
@@ -523,12 +531,11 @@ def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
     for w in nonident:
         if signs[w.syllables] != -signs[ctx.inv(w).syllables]:
             return AxiomCheckReport(False, "antisymmetry", (w, ctx.inv(w)), r)
-    positives = [w for w in nonident if signs[w.syllables] == 1]
-    for u in positives:
-        for v in positives:
-            uv = ctx.mul(u, v)
-            if signs.get(uv.syllables, 1) != 1:
-                return AxiomCheckReport(False, "closure", (u, v, uv), r)
+    positives = [i for i, w in enumerate(nonident) if signs[w.syllables] == 1]
+    for u, v, p in ctx.ball_products(r, among=positives):
+        if signs[nonident[p].syllables] != 1:
+            return AxiomCheckReport(
+                False, "closure", (nonident[u], nonident[v], nonident[p]), r)
     return AxiomCheckReport(True, None, (), r)
 
 

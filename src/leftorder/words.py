@@ -18,6 +18,10 @@ exactly as before.  The marker is neither compared nor hashed.
 ``mul`` multiplies two normal forms through ``_product(a, b)``.  Its default
 normalizes the concatenation; free groups and free products override it to
 cancel and merge only where the two words meet.
+
+``ball_products`` yields the products of two ball elements that land in the
+ball, as id triples.  Its default tries every pair; free groups walk only the
+products that stay in the ball.
 """
 
 from __future__ import annotations
@@ -191,17 +195,16 @@ class GroupCtx:
     def ball(self, r: int, gens: tuple[Word, ...] | None = None,
              cap: int = BALL_ELEMENT_CAP) -> list[Word]:
         """All elements reachable by <= r generator letters, sorted shortlex."""
-        if gens is None:
-            key = (self, r)
-            cached = _BALL_CACHE.get(key)
-            if cached is not None:
-                if len(cached) > cap:
-                    raise ResourceLimitError(
-                        f"ball exceeds cap of {cap} elements")
-                if cached and cached[0].ctx is not self:
-                    # filled by an equal context: hand out words this one trusts
-                    return [Word(self, w.syllables, True) for w in cached]
-                return list(cached)
+        key = (self, r, None if gens is None else tuple(gens))
+        cached = _BALL_CACHE.get(key)
+        if cached is not None:
+            if len(cached) > cap:
+                raise ResourceLimitError(
+                    f"ball exceeds cap of {cap} elements")
+            if cached and cached[0].ctx is not self:
+                # filled by an equal context: hand out words this one trusts
+                return [Word(self, w.syllables, True) for w in cached]
+            return list(cached)
         letters = list(gens) if gens is not None else self.ball_generators()
         seen = {self.identity()}
         frontier = [self.identity()]
@@ -218,9 +221,49 @@ class GroupCtx:
                                 f"ball exceeds cap of {cap} elements")
             frontier = nxt
         out = sorted(seen, key=Word.shortlex_key)
-        if gens is None:
-            _BALL_CACHE[(self, r)] = tuple(out)
+        _BALL_CACHE[key] = tuple(out)
         return out
+
+    def ball_products(self, r: int, gens: tuple[Word, ...] | None = None,
+                      among=None):
+        """Yield every in-ball product ``(u, v, p)`` of ids, ``u`` and ``v`` in ``among``.
+
+        Ids number the nonidentity elements of ``ball(r, gens)`` in order,
+        and ``ball[u] * ball[v] == ball[p]``.  ``among`` is a sorted id list;
+        ``None`` means every id.  Triples come in ascending ``(u, v)`` order,
+        one ``u`` row at a time, and identity products are left out.
+
+        This default tries every pair through ``_product``.  With ``among``
+        None it needs the ball closed under inverses, as a symmetric
+        ``gens`` gives.
+        """
+        syls = [w.syllables for w in self.ball(r, gens) if not w.is_identity()]
+        ids = {s: i for i, s in enumerate(syls)}
+        get, product = ids.get, self._product
+        if among is not None:
+            for u in among:
+                su = syls[u]
+                for v in among:
+                    p = get(product(su, syls[v]))
+                    if p is not None:
+                        yield u, v, p
+            return
+        # u * w^-1 = p  iff  w * u^-1 = p^-1, so the pairs w > u give every
+        # triple, each product found once for two rows (u * u^-1 = 1 is skipped);
+        # ``later[w]`` holds row w's triples found from an earlier row
+        inv = [ids[self._normalize(tuple((g, -e) for g, e in reversed(s)))]
+               for s in syls]
+        later: list[list[tuple[int, int]]] = [[] for _ in syls]
+        for u, su in enumerate(syls):
+            row, later[u] = later[u], []
+            for w in range(u + 1, len(syls)):
+                p = get(product(su, syls[inv[w]]))
+                if p is not None:
+                    row.append((inv[w], p))
+                    later[w].append((inv[u], inv[p]))
+            row.sort()
+            for v, p in row:
+                yield u, v, p
 
     def __repr__(self) -> str:
         return f"<{self.descriptor()['family']} on {','.join(self.gen_names)}>"
@@ -254,6 +297,64 @@ class FreeCtx(GroupCtx):
             i -= 1
             j += 1
         return a[:i] + b[j:]
+
+    def ball_products(self, r, gens=None, among=None):
+        """In-ball products walked directly: every candidate tried is output.
+
+        Write u = u'x and v = x^-1 y with no cancellation in u'y, so uv = u'y.
+        For each cancellation length |x|, y runs over the reduced words that
+        extend both x^-1 and u' inside the ball.  Past its first letter, y
+        extends two words that end in the same letter, and the ball words
+        below each of them list the same y's in shortlex order, so zipping
+        the two lists walks both at once and stops at the shorter (Epstein
+        et al., *Word Processing in Groups*, 1992, ch. 2-3).
+        """
+        if gens is not None:
+            yield from super().ball_products(r, gens, among)
+            return
+        ball = self.ball(r)     # node i is ball[i], id i - 1; node 0 is 1
+        # one int object per id, shared by every triple: the census search
+        # reads them in its innermost loop
+        ids = list(range(len(ball) - 1))
+        node = {w.syllables: i for i, w in enumerate(ball)}
+        # letter 2g is g, 2g + 1 is g^-1; child[i][l] is the node of
+        # ball[i] * l when that is reduced and in the ball, else 0; below[i]
+        # lists the ids of the ball words that start with ball[i], in order
+        child = [[0] * (2 * self.rank) for _ in ball]
+        parent, last = [0] * len(ball), [0] * len(ball)
+        below: list[list[int]] = [[] for _ in ball]
+        for i, w in enumerate(ball[1:], 1):
+            s = w.syllables
+            g, e = s[-1]
+            if e in (1, -1):
+                head = s[:-1]
+            else:
+                head = s[:-1] + ((g, e - 1 if e > 0 else e + 1),)
+            parent[i], last[i] = node[head], 2 * g + (e < 0)
+            child[parent[i]][last[i]] = i
+            j = i
+            while j:
+                below[j].append(ids[i - 1])
+                j = parent[j]
+        wanted = None if among is None else set(among)
+        for u in ids if among is None else among:
+            row = []
+            xinv, head = 0, u + 1   # x^-1 and u' for |x| = 0, 1, ..., |u|
+            while True:
+                if xinv and head:
+                    row.append((ids[xinv - 1], ids[head - 1]))
+                for a, b in zip(child[xinv], child[head]):
+                    if a and b:
+                        row.extend(zip(below[a], below[b]))
+                if not head:
+                    break
+                xinv = child[xinv][last[head] ^ 1]
+                head = parent[head]
+            if wanted is not None:
+                row = [vp for vp in row if vp[0] in wanted]
+            row.sort()
+            for v, p in row:
+                yield u, v, p
 
     def descriptor(self):
         return {"family": "free", "rank": self.rank,

@@ -10,6 +10,7 @@ from leftorder.census import (
 from leftorder.cones import klein_cones, slope_cone, z_cone
 from leftorder.errors import ResourceLimitError
 from leftorder.surd import Mat2
+from leftorder import words
 from leftorder.words import (
     DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
     ZPowCtx,
@@ -127,6 +128,25 @@ def test_ball_index_matches_word_products(ctx):
         assert set(triples) == {t for t in products if i in t}
 
 
+@pytest.mark.parametrize("ctx,r,gens,calls", [
+    (Z2, 4, None, 964), (KLEIN, 5, None, 2058), (Z2, 3, BOX, 1424),
+], ids=["z2-r4", "klein-r5", "z2-box-r3"])
+def test_ball_index_normalize_calls(monkeypatch, ctx, r, gens, calls):
+    # a cold index build costs no more normal forms than the halved pair loop
+    # it replaced: the ball, n inverses and one product per pair u < w
+    monkeypatch.setattr(words, "_BALL_CACHE", {})
+    count = [0]
+    normalize = type(ctx)._normalize
+
+    def counted(self, syllables):
+        count[0] += 1
+        return normalize(self, syllables)
+
+    monkeypatch.setattr(type(ctx), "_normalize", counted)
+    BallIndex(ctx, r, gens)
+    assert count[0] <= calls
+
+
 # -- brute force over every sign vector ------------------------------------
 
 def _brute_force_cones(ctx, r, gens=None):
@@ -184,7 +204,9 @@ def test_extendable_filter_matches_brute_force(ctx, r, target):
      "1d80a39835b086aab0c64b08d6d6779be83217bf031310995af7b402bb6cf649"),
     (F2, 1, 4, None, 4,
      "5752dbcf7e9e9be004a9dec0f22a8829fbbdaed4842439f0a04c9ecba7fad0d9"),
-], ids=["klein-r4-8", "z2-r2-5", "z2-box-r2-4", "f2-r1-4"])
+    (F2, 1, 6, None, 4,
+     "5752dbcf7e9e9be004a9dec0f22a8829fbbdaed4842439f0a04c9ecba7fad0d9"),
+], ids=["klein-r4-8", "z2-r2-5", "z2-box-r2-4", "f2-r1-4", "f2-r1-6"])
 def test_survivor_digest_pinned(ctx, r, target, gens, count, sha256):
     survivors = extendable_filter(enumerate_ball_cones(ctx, r, gens=gens),
                                   target, gens=gens)

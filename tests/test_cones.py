@@ -189,13 +189,36 @@ def test_dynamical_word_fixing_first_basepoint():
 
 
 def test_dynamical_sign_of_long_powers():
-    # a power's lift is composed letter by letter; it must not recurse per letter
+    # a power's lift is squared up from the letter's, not composed per letter
     c = dynamical_cone()
     a, b = c.ctx.gens()
     assert c.sign(c.ctx.word([("a", 5000)])) == c.sign(a)
     assert c.sign(c.ctx.word([("b", -7000)])) == -c.sign(b)
     assert c.sign(c.ctx.word([("a", 5001), ("b", -3)])) == \
         -c.sign(c.ctx.word([("b", 3), ("a", -5001)]))
+    assert c.sign(c.ctx.word([("a", 10**18)])) == c.sign(a)
+    assert c.sign(c.ctx.word([("b", -10**18)])) == -c.sign(b)
+
+
+def test_dynamical_power_sign_matches_letter_by_letter():
+    from leftorder.cones import _lift_compose
+    rng = random.Random(7)
+    shared = dynamical_cone()
+    for _ in range(60):
+        pairs = [(rng.randrange(2), rng.choice([-1, 1]) * rng.randint(1, 40))
+                 for _ in range(rng.randint(1, 3))]
+        w = F2.word(pairs)
+        if w.is_identity():
+            continue
+        fresh = dynamical_cone()
+        letters = fresh._letters()
+        steps = [(g, 1 if e > 0 else -1) for g, e in w.syllables
+                 for _ in range(abs(e))]
+        el = letters[steps[0]]
+        for step in steps[1:]:
+            el = _lift_compose(el, letters[step])
+        expected = fresh._sign_of_element(el)
+        assert fresh.sign(w) == shared.sign(w) == expected, w
 
 
 def test_dynamical_totality_ball6():
@@ -316,6 +339,47 @@ def test_axioms_catch_flipped_oracle():
     assert not rep.ok
     assert rep.kind in ("antisymmetry", "closure")
     assert bad in rep.words
+
+
+class _FlippedPair(Cone):
+    """A cone with the signs of w and w^-1 both flipped: antisymmetric, not closed."""
+
+    def __init__(self, base, w):
+        self.ctx = base.ctx
+        self.base = base
+        self.flipped = {w, base.ctx.inv(w)}
+
+    def _sign(self, w):
+        s = self.base.sign(w)
+        return -s if w in self.flipped else s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_axioms_closure_witness_is_first_positive_pair(seed):
+    r = 4
+    ball = [w for w in F2.ball(r) if not w.is_identity()]
+    short = [w for w in ball if w.length() <= 2]
+    c = _FlippedPair(dynamical_cone(), random.Random(seed).choice(short))
+    in_ball = set(ball)
+    positives = [w for w in ball if c.sign(w) == 1]
+    expected = next((u, v, F2.mul(u, v)) for u in positives for v in positives
+                    if F2.mul(u, v) in in_ball and c.sign(F2.mul(u, v)) == -1)
+    rep = check_cone_axioms_on_ball(c, r)
+    assert (rep.ok, rep.kind, rep.words) == (False, "closure", expected)
+
+
+def test_axioms_free_closure_tries_only_in_ball_products(monkeypatch):
+    # the pair loop made 728^2 = 529,984 products at r6
+    calls = [0]
+    product = FreeCtx._product
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return product(self, a, b)
+
+    monkeypatch.setattr(FreeCtx, "_product", counted)
+    assert check_cone_axioms_on_ball(dynamical_cone(), 6).ok
+    assert calls[0] < 10_000
 
 
 # -- slope detection -----------------------------------------------------------------------

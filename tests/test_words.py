@@ -330,6 +330,49 @@ def test_box_generators_ball():
     assert box1 == {(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)}
 
 
+# -- in-ball products -----------------------------------------------------------
+
+def _pair_loop_products(ctx, r, gens=None, among=None):
+    """Every (u, v, p) with ball[u] * ball[v] == ball[p], by trying all pairs."""
+    ball = [w for w in ctx.ball(r, gens) if not w.is_identity()]
+    pos = {w: i for i, w in enumerate(ball)}
+    ids = range(len(ball)) if among is None else among
+    out = []
+    for u in ids:
+        for v in ids:
+            p = pos.get(ctx.mul(ball[u], ball[v]))
+            if p is not None:
+                out.append((u, v, p))
+    return out
+
+
+BOX = tuple(Z2.box_generators())
+
+
+@pytest.mark.parametrize("ctx,r,gens", [
+    *[(FreeCtx(1), r, None) for r in range(6)],
+    *[(F2, r, None) for r in range(6)],
+    *[(FreeCtx(3), r, None) for r in range(4)],
+    (ZPowCtx(1), 5, None), (Z2, 4, None), (Z2, 2, BOX), (KLEIN, 4, None),
+    (SOL, 2, None), (ZXF2, 2, None), (ZXZ, 3, None),
+    (F2, 3, tuple(F2.ball_generators())),
+], ids=[*[f"f1-r{r}" for r in range(6)], *[f"f2-r{r}" for r in range(6)],
+        *[f"f3-r{r}" for r in range(4)],
+        "z-r5", "z2-r4", "z2-box-r2", "klein-r4", "sol-r2", "zxf2-r2", "zz-free-r3",
+        "f2-r3-gens"])
+def test_ball_products_match_pair_loop(ctx, r, gens):
+    # the list compares both the triple set and the ascending (u, v) order
+    assert list(ctx.ball_products(r, gens)) == _pair_loop_products(ctx, r, gens)
+    n = len(ctx.ball(r, gens)) - 1
+    among = sorted(random.Random(n).sample(range(n), n // 2))
+    assert (list(ctx.ball_products(r, gens, among))
+            == _pair_loop_products(ctx, r, gens, among))
+
+
+def test_ball_products_free_count_r6():
+    assert sum(1 for _ in F2.ball_products(6)) == 109356
+
+
 # -- abelianization -----------------------------------------------------------
 
 def test_abelianize_free():
