@@ -25,8 +25,8 @@ from .actions import (
     restricted_orbit_sample,
 )
 from .conrad import (
-    SubgroupSpec, cofinality_witness, conradian_check, convexity_check,
-    cyclic_subgroup, order_hom_check,
+    cofinality_witness, conradian_check, convexity_check, cyclic_subgroup,
+    order_hom_check,
 )
 from .freeprod import (
     KernelBasisWord, basis_word, conj_basis, expand, exponent_sum,

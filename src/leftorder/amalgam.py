@@ -21,7 +21,6 @@ class AmalgamOracles:
 
     ctx: FreeProductCtx
     weights: tuple[int, int]
-    label: str
 
     def decompose(self, side: int, p: int) -> tuple[int, int]:
         """p = weight * k + r with canonical representative exponent r."""
@@ -35,13 +34,13 @@ class AmalgamOracles:
 def square_amalgam() -> AmalgamOracles:
     """Z *_C Z with C generated by a^2 = b^2 (the four-ordering group)."""
     ctx = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
-    return AmalgamOracles(ctx, (2, 2), "a^2=b^2")
+    return AmalgamOracles(ctx, (2, 2))
 
 
 def free_product_amalgam() -> AmalgamOracles:
     """Z * Z with trivial amalgamated subgroup."""
     ctx = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
-    return AmalgamOracles(ctx, (0, 0), "free")
+    return AmalgamOracles(ctx, (0, 0))
 
 
 @dataclass(frozen=True)

@@ -439,10 +439,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except LeftOrderError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (LeftOrderError, json.JSONDecodeError, KeyError, ValueError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -369,14 +369,9 @@ class DynamicalCone(Cone):
         for w in words[1:]:
             el = _lift_compose(el, self._element(w))
         if el.mat in ((1, 0, 0, 1), (-1, 0, 0, -1)) and el.delta == 0:
-            # trivial cover element: decide whether the word itself is trivial
-            out = self.ctx.identity()
-            for w in words:
-                out = self.ctx.mul(out, w)
-            if out.is_identity():
-                raise NoSignError("the identity has no sign")
-            raise InsufficientBasepointsError(
-                "element fixes every basepoint of the dynamical cone")
+            # trivial cover element: the generic path raises NoSignError if
+            # the word itself is trivial, else InsufficientBasepointsError
+            return super().sign_of_product(words)
         return self._sign_of_element(el)
 
 

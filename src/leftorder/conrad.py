@@ -7,7 +7,7 @@ words involved and re-verify against the cone that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .cones import Cone
@@ -15,18 +15,8 @@ from .errors import InvalidHomError
 from .words import GroupCtx, Word
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A subgroup as generators plus a decidable membership predicate."""
-
-    ctx: GroupCtx
-    generators: tuple[Word, ...]
-    member: "callable" = field(compare=False)
-    label: str = ""
-
-
-def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64) -> SubgroupSpec:
-    """<w> with membership decided against |k| <= power_bound precomputed powers.
+def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64):
+    """Membership predicate of <w>, decided against |k| <= power_bound powers.
 
     The bound must dominate the ball radius the predicate will be scanned
     over; the default covers every desk-scale radius used here.
@@ -40,8 +30,7 @@ def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64) -> SubgroupSp
         q = ctx.mul(q, ctx.inv(w))
         powers.add(p)
         powers.add(q)
-
-    return SubgroupSpec(ctx, (w,), powers.__contains__, label=f"<{w!r}>")
+    return powers.__contains__
 
 
 # -- Conradian check -------------------------------------------------------------
@@ -92,27 +81,27 @@ class ConvexityReport:
     radius: int
     witness: tuple[Word, Word, Word] | None = None  # (c1, f, c2)
 
-    def certify(self, c: Cone, subgroup: SubgroupSpec) -> bool:
+    def certify(self, c: Cone, member) -> bool:
         if self.witness is None:
             return False
         c1, f, c2 = self.witness
         ctx = c.ctx
-        return (subgroup.member(c1) and subgroup.member(c2)
-                and not subgroup.member(f)
+        return (member(c1) and member(c2) and not member(f)
                 and c.sign(ctx.mul(ctx.inv(c1), f)) == 1
                 and c.sign(ctx.mul(ctx.inv(f), c2)) == 1)
 
 
-def convexity_check(c: Cone, subgroup: SubgroupSpec, r: int) -> ConvexityReport:
-    """Find c1 < f < c2 with c1, c2 in the subgroup but f outside it.
+def convexity_check(c: Cone, member, r: int) -> ConvexityReport:
+    """Find c1 < f < c2 with c1 and c2 members of the subgroup but f not.
 
-    Scans shortlex triples (c1 outermost, then f, then c2) over B_r, so the
-    returned witness is the canonical first one.
+    ``member`` is the subgroup's membership predicate, as ``cyclic_subgroup``
+    returns it.  Scans shortlex triples (c1 outermost, then f, then c2) over
+    B_r, so the returned witness is the canonical first one.
     """
     ctx = c.ctx
     ball = ctx.ball(r)
-    members = [w for w in ball if subgroup.member(w)]
-    outsiders = [w for w in ball if not subgroup.member(w)]
+    members = [w for w in ball if member(w)]
+    outsiders = [w for w in ball if not member(w)]
     for c1 in members:
         for f in outsiders:
             step1 = ctx.mul(ctx.inv(c1), f)

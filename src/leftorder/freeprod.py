@@ -44,17 +44,6 @@ class KernelBasisWord:
     ctx: FreeProductCtx
     letters: tuple[Letter, ...]
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def inv(self) -> "KernelBasisWord":
-        return KernelBasisWord(
-            self.ctx, tuple((g, h, -e) for g, h, e in reversed(self.letters)))
-
-    def __mul__(self, other: "KernelBasisWord") -> "KernelBasisWord":
-        return KernelBasisWord(self.ctx,
-                               _reduce_letters(self.letters + other.letters))
-
     def serial(self) -> list:
         return [{"g": g.pairs(), "h": h.pairs(), "e": e}
                 for g, h, e in self.letters]

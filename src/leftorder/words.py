@@ -15,9 +15,12 @@ anywhere else has ``nf=False`` and is checked and normalized on first use, so
 a foreign context, an unknown generator id or unreduced syllables are handled
 exactly as before.  The marker is neither compared nor hashed.
 
-``mul`` multiplies two normal forms through ``_product(a, b)``.  Its default
-normalizes the concatenation; free groups and free products override it to
-cancel and merge only where the two words meet.
+``mul`` multiplies two normal forms through ``_product(a, b)``.  Each family
+gives one rule: Z^n, Klein, semidirect and direct products give ``_normalize``,
+and their ``_product`` normalizes the concatenation; free groups and free
+products give ``_product``, which cancels and merges only where the two words
+meet, and their ``_normalize`` multiplies the normal forms of the two halves
+of the syllables.
 
 ``ball_products`` yields the products of two ball elements that land in the
 ball, as id triples.  Its default tries every pair; free groups walk only the
@@ -37,21 +40,6 @@ from .surd import MAT_IDENTITY, Mat2
 Syllables = tuple[tuple[int, int], ...]
 
 BALL_ELEMENT_CAP = 300_000
-
-
-def _merge_reduce(syllables) -> Syllables:
-    """Merge adjacent equal-generator syllables, dropping zero exponents."""
-    out: list[list[int]] = []
-    for g, e in syllables:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            out[-1][1] += e
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([g, e])
-    return tuple((g, e) for g, e in out)
 
 
 @dataclass(frozen=True)
@@ -88,10 +76,20 @@ class Word:
         return sum(abs(e) for _, e in self.syllables)
 
     def shortlex_key(self):
-        letters = []
-        for g, e in self.syllables:
-            letters.extend([(g, 0 if e > 0 else 1)] * abs(e))
-        return (len(letters), tuple(letters))
+        """Shortlex on the spelled-out letters, a letter keyed (generator, e < 0).
+
+        A syllable keys as its letter, then whether the next letter sorts
+        above it (the word's end sorts below), then its run length, negated
+        when the next letter sorts above.  That is the letter order in memory
+        linear in the syllables, because adjacent syllables of a normal form
+        have different letters.
+        """
+        letters = [(g, e < 0) for g, e in self.syllables]
+        key = []
+        for k, (g, e) in enumerate(self.syllables):
+            up = k + 1 < len(letters) and letters[k + 1] > letters[k]
+            key.append((letters[k], up, -abs(e) if up else abs(e)))
+        return (self.length(), tuple(key))
 
     def pairs(self) -> list[list]:
         return [[self.ctx.gen_names[g], e] for g, e in self.syllables]
@@ -117,8 +115,23 @@ class GroupCtx:
 
     gen_names: tuple[str, ...]
 
+    # A family states its group law once: it overrides exactly one of
+    # _normalize and _product, and each default derives from the other.
+
     def _normalize(self, syllables: Syllables) -> Syllables:
-        raise NotImplementedError
+        """Normal form of raw syllables: the product of its halves' normal forms.
+
+        One nonzero syllable is already a normal form in every family here.
+        Splitting in halves keeps the cost at n log n for a junction product.
+        """
+        if len(syllables) > 1:
+            h = len(syllables) // 2
+            return self._product(self._normalize(syllables[:h]),
+                                 self._normalize(syllables[h:]))
+        if syllables and syllables[0][1]:
+            g, e = syllables[0]
+            return ((g, e),)
+        return ()
 
     def _product(self, a: Syllables, b: Syllables) -> Syllables:
         """Normal form of the product of two normal forms."""
@@ -283,9 +296,6 @@ class FreeCtx(GroupCtx):
         if not self.gen_names:
             names = tuple("abcdefgh"[i] for i in range(self.rank))
             object.__setattr__(self, "gen_names", names)
-
-    def _normalize(self, syllables):
-        return _merge_reduce(syllables)
 
     def _product(self, a, b):
         # cancel inverse syllables where a and b meet, merge one partial
@@ -521,47 +531,26 @@ class _ProductCtx(GroupCtx):
 class FreeProductCtx(_ProductCtx):
     family = "free_product"
 
-    def _normalize(self, syllables):
-        # stack of maximal factor runs, each kept in factor normal form;
-        # adjacent stack entries always carry distinct factors, so a run that
-        # cancels away simply exposes the previous run for further merging
-        stack: list[tuple[int, Syllables]] = []
-        for g, e in syllables:
-            if e == 0:
-                continue
-            i = self.factor_of(g)
-            if stack and stack[-1][0] == i:
-                prev = stack.pop()[1]
-                merged = self.factors[i]._normalize(prev + self._local(i, ((g, e),)))
-            else:
-                merged = self.factors[i]._normalize(self._local(i, ((g, e),)))
-            if merged:
-                stack.append((i, merged))
-        result: list[tuple[int, int]] = []
-        for i, run in stack:
-            result.extend(self._global(i, run))
-        return tuple(result)
-
     def _product(self, a, b):
-        # merge the last factor run of a with the first of b; when they cancel
-        # to nothing, the next pair of runs meets
+        # merge the last factor run of a[:i] with the first of b[j:]; when
+        # they cancel to nothing, the next pair of runs meets
         factor_of = self.factor_of
-        while a and b:
-            i = factor_of(a[-1][0])
-            if factor_of(b[0][0]) != i:
+        i, j, n = len(a), 0, len(b)
+        while i and j < n:
+            f = factor_of(a[i - 1][0])
+            if factor_of(b[j][0]) != f:
                 break
-            s = len(a) - 1
-            while s and factor_of(a[s - 1][0]) == i:
+            s, t = i - 1, j + 1
+            while s and factor_of(a[s - 1][0]) == f:
                 s -= 1
-            t, n = 1, len(b)
-            while t < n and factor_of(b[t][0]) == i:
+            while t < n and factor_of(b[t][0]) == f:
                 t += 1
-            f = self.factors[i]
-            merged = f._product(self._local(i, a[s:]), self._local(i, b[:t]))
+            merged = self.factors[f]._product(self._local(f, a[s:i]),
+                                              self._local(f, b[j:t]))
             if merged:
-                return a[:s] + self._global(i, merged) + b[t:]
-            a, b = a[:s], b[t:]
-        return a + b
+                return a[:s] + self._global(f, merged) + b[t:]
+            i, j = s, t
+        return a[:i] + b[j:]
 
 
 class DirectProductCtx(_ProductCtx):

@@ -7,11 +7,11 @@ from leftorder.actions import (
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
 from leftorder.cones import (
-    KleinCone, detect_slope, dynamical_cone, lex_cone, restrict_cone,
-    ses_kernel_embedding, slope_cone, z_cone,
+    KernelActionCone, KleinCone, detect_slope, dynamical_cone, lex_cone,
+    quad_slope_cone, restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.errors import OrbitUndecidedError
-from leftorder.surd import Mat2
+from leftorder.surd import Mat2, rational, sqrt_of
 from leftorder.words import (
     DirectProductCtx, KleinCtx, SemidirectCtx, ZPowCtx, direct_product_ses,
     semidirect_ses,
@@ -130,6 +130,29 @@ def test_kernel_conj_orientation_reversing_action():
             continue
         inner = swap.conj(swap.inv(t), ses.inject(w))
         assert moved.sign(w) == kc.sign(ses.kernel_pull(inner))
+
+
+def _sign_m_plus_n_sqrt2(m, n):
+    """Sign of m + n sqrt(2), in integers."""
+    if m >= 0 and n >= 0 or m <= 0 and n <= 0:
+        return (m + n > 0) - (m + n < 0)
+    return (m > 0) - (m < 0) if m * m > 2 * n * n else (n > 0) - (n < 0)
+
+
+def test_kernel_conj_quad_slope_cone_acts_by_inverse_matrix():
+    # an irrational kernel cone has no closed form: t^-1 (v, 0) t = (A^-1 v, 0),
+    # so the transported cone signs v as the base cone signs A^-1 v
+    base = quad_slope_cone((rational(1), sqrt_of(2)), "+", SOL_SES.kernel)
+    moved = kernel_conj_cone(SOL_SES, base, SOL.word([("t", 1)]))
+    assert isinstance(moved, KernelActionCone)
+    # A = [[2, 1], [1, 1]], so A^-1 = [[1, -1], [-1, 2]]
+    for v1 in range(-4, 5):
+        for v2 in range(-4, 5):
+            if (v1, v2) == (0, 0):
+                continue
+            w = SOL_SES.kernel.from_vector((v1, v2))
+            expect = _sign_m_plus_n_sqrt2(v1 - v2, -v1 + 2 * v2)
+            assert moved.sign(w) == expect
 
 
 # -- cone equality ---------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_broken_oracle_rejected():
                 return (0, 1)  # wrong: 2 != 0*2 + 1
             return super().decompose(side, p)
 
-    bad = Broken(CTX, (2, 2), "broken")
+    bad = Broken(CTX, (2, 2))
     with pytest.raises(InvalidOracleError):
         amalgam_normal_form(w(("a", 2)), bad)
 

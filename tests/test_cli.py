@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from leftorder.cli import main
@@ -140,6 +141,18 @@ def test_closure_criterion_command(capsys):
     assert doc["result"]["consistent"] is False
 
 
+def test_closure_criterion_huge_exponent_is_fast(capsys):
+    # sorting the labels keys each one by its syllables, not by its letters
+    letters = json.dumps([{"g": "a^1000000000", "h": "b", "e": 1}])
+    labels = json.dumps([{"g": "a", "h": "b"}])
+    start = time.perf_counter()
+    code, doc = run(capsys, "closure-criterion", "--letters", letters,
+                    "--labels", labels)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert doc["result"]["consistent"] is False
+
+
 def test_amalgam_nf_command(capsys):
     code, doc = run(capsys, "amalgam-nf", "--word", "a^2 b^-1")
     assert code == 0
@@ -253,6 +266,17 @@ def test_verify_witness_reproduces_and_rejects(capsys, tmp_path):
         doc["witnesses"] = []
         code, out = _verify(capsys, tmp_path, doc)
         assert code == 1 and out["result"]["reproduced"] is False
+
+
+def test_verify_witness_axioms_report(capsys, tmp_path):
+    code, doc = run(capsys, "axioms", "--cone", '{"kind":"klein","ex":1,"ey":1}',
+                    "--r", "3")
+    assert code == 0 and doc["result"]["ok"] is True
+    code, out = _verify(capsys, tmp_path, doc)
+    assert code == 0 and out["result"]["reproduced"] is True
+    doc["result"]["ok"] = False
+    code, out = _verify(capsys, tmp_path, doc)
+    assert code == 1 and out["result"]["reproduced"] is False
 
 
 def test_verify_witness_wrong_arity_exits_2(capsys, tmp_path):

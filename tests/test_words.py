@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -11,8 +12,9 @@ from leftorder.errors import (
 from leftorder.cones import dynamical_cone, slope_cone
 from leftorder.surd import Mat2
 from leftorder.words import (
-    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
-    Word, ZPowCtx, direct_product_ses, semidirect_ses, validate_ses,
+    DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
+    SemidirectCtx, Word, ZPowCtx, direct_product_ses, semidirect_ses,
+    validate_ses,
 )
 
 F2 = FreeCtx(2)
@@ -22,10 +24,13 @@ SOL = SemidirectCtx(Mat2(2, 1, 1, 1))
 ZXZ = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
 ZXF2 = DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2)))
 # a free product whose first factor is itself a free product with a Klein
-# factor, and a direct product with a free-product factor
+# factor, a direct product with a free-product factor, and a free product
+# of two non-free factors
 NESTED_FP = FreeProductCtx((FreeProductCtx((ZPowCtx(1, ("u",)), KleinCtx())),
                             FreeCtx(2, ("c", "d"))))
 NESTED_DP = DirectProductCtx((ZXZ, ZPowCtx(1, ("z",))))
+KLEIN_SOL = FreeProductCtx((KleinCtx(), SemidirectCtx(Mat2(2, 1, 1, 1),
+                                                      ("p", "q", "t"))))
 
 
 def rand_word(ctx, rng, max_syllables=6, max_exp=3):
@@ -93,11 +98,39 @@ def test_context_mismatch_rejected():
 PRODUCT_FAMILIES = (F2, Z2, KLEIN, ZXZ, ZXF2, NESTED_FP, NESTED_DP, SOL)
 
 
+def _reduce_by_letters(syllables):
+    """Free reduction one letter at a time, then runs of equal letters merged."""
+    letters = []
+    for g, e in syllables:
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if letters and letters[-1] == (g, -step):
+                letters.pop()
+            else:
+                letters.append((g, step))
+    runs = []
+    for g, step in letters:
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += step
+        else:
+            runs.append([g, step])
+    return tuple((g, e) for g, e in runs)
+
+
+def _raw_syllables(ctx, rng, n):
+    """n syllables with exponents in [-3, 3], zeros and repeats included."""
+    return tuple((rng.randrange(len(ctx.gen_names)), rng.randint(-3, 3))
+                 for _ in range(n))
+
+
 def test_product_hook_matches_normalize():
-    # _product on two normal forms is the normal form of their concatenation
+    # on F2 and on Z*Z (which is F2 on a, b), the junction product and the
+    # normal form both equal free reduction letter by letter
     rng = random.Random(11)
-    for ctx in PRODUCT_FAMILIES:
+    for ctx in (F2, ZXZ):
         for _ in range(300):
+            raw = _raw_syllables(ctx, rng, rng.randint(0, 16))
+            assert ctx._normalize(raw) == _reduce_by_letters(raw)
             u = rand_word(ctx, rng, max_syllables=8)
             y = rand_word(ctx, rng, max_syllables=8)
             v = rand_word(ctx, rng, max_syllables=8)
@@ -108,7 +141,107 @@ def test_product_hook_matches_normalize():
                  ctx.mul(ctx.inv(y), v).syllables),           # spans several runs
             ]
             for a, b in pairs:
-                assert ctx._product(a, b) == ctx._normalize(a + b)
+                assert ctx._product(a, b) == _reduce_by_letters(a + b)
+                assert ctx._normalize(a + b) == _reduce_by_letters(a + b)
+
+
+def _assert_free_product_nf(ctx, syls):
+    """Nonzero exponents, maximal runs each in its factor's normal form."""
+    assert all(e for _, e in syls)
+    runs = []
+    for g, e in syls:
+        i = ctx.factor_of(g)
+        if runs and runs[-1][0] == i:
+            runs[-1][1].append((g - ctx.offsets[i], e))
+        else:
+            runs.append((i, [(g - ctx.offsets[i], e)]))
+    assert all(i != j for (i, _), (j, _) in zip(runs, runs[1:]))
+    for i, run in runs:
+        f = ctx.factors[i]
+        if isinstance(f, FreeProductCtx):
+            _assert_free_product_nf(f, tuple(run))
+        elif isinstance(f, FreeCtx):
+            assert tuple(run) == _reduce_by_letters(run)
+        else:
+            assert f._normalize(tuple(run)) == tuple(run)
+
+
+def test_nested_free_product_normal_form_structure():
+    # the halving normal form is a free-product normal form, and it equals
+    # the product of the raw word's letters taken left to right
+    rng = random.Random(14)
+    for ctx in (NESTED_FP, KLEIN_SOL):
+        for _ in range(300):
+            raw = _raw_syllables(ctx, rng, rng.randint(0, 16))
+            nf = ctx._normalize(raw)
+            _assert_free_product_nf(ctx, nf)
+            by_letters = ()
+            for g, e in raw:
+                for _ in range(abs(e)):
+                    by_letters = ctx._product(by_letters,
+                                              ((g, 1 if e > 0 else -1),))
+            assert nf == by_letters
+
+
+def test_single_syllable_is_its_own_normal_form():
+    # the base case of the halving normal form: one nonzero syllable is
+    # already normal, in every family, and a zero exponent is dropped
+    for ctx in PRODUCT_FAMILIES + (KLEIN_SOL,):
+        for g in range(len(ctx.gen_names)):
+            assert ctx.word([(g, 0)]).syllables == ()
+            for e in (1, -1, 2, -3, 7, 10**18):
+                assert ctx.word([(g, e)]).syllables == ((g, e),)
+                assert ctx._normalize(((g, e),)) == ((g, e),)
+            letter = ctx.word([(g, 1)])
+            assert (letter ** 5).syllables == ((g, 5),)
+            assert (letter ** -4).syllables == ((g, -4),)
+
+
+def _context_classes(cls=GroupCtx):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("leftorder."):
+            yield sub
+        yield from _context_classes(sub)
+
+
+def test_each_family_states_one_group_law():
+    concrete = {cls for cls in _context_classes()
+                if not cls.__name__.startswith("_")}
+    assert {FreeCtx, FreeProductCtx, ZPowCtx, KleinCtx, SemidirectCtx,
+            DirectProductCtx} <= concrete
+    for cls in concrete:
+        own = [name for name in ("_normalize", "_product")
+               if getattr(cls, name) is not getattr(GroupCtx, name)]
+        assert len(own) == 1, (cls, own)
+
+
+def _alternating(n):
+    return [(i % 2, 1 + i % 3) for i in range(n)]
+
+
+def _fully_cancelling(n):
+    half = _alternating(n // 2)
+    return half + [(g, -e) for g, e in reversed(half)]
+
+
+def test_free_product_cancelling_mul_is_fast():
+    # a run that cancels away costs only its own junction check
+    w = ZXZ.word(_alternating(40_000))
+    w_inv = ZXZ.inv(w)
+    start = time.perf_counter()
+    assert ZXZ.mul(w, w_inv).is_identity()
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("ctx", [F2, ZXZ], ids=["f2", "zz"])
+@pytest.mark.parametrize("build", [_alternating, _fully_cancelling],
+                         ids=["alternating", "cancelling"])
+def test_long_raw_words_normalize_fast(ctx, build):
+    syls = build(100_000)
+    start = time.perf_counter()
+    w = ctx.word(syls)
+    assert time.perf_counter() - start < 2.0
+    assert len(w.syllables) == (0 if build is _fully_cancelling else 100_000)
 
 
 def test_free_product_junction_cancels_across_runs():
@@ -303,6 +436,29 @@ def test_ball_deterministic_order():
     assert Z2.ball(2) == Z2.ball(2)
     assert [w.pairs() for w in Z2.ball(1)] == [
         [], [["e1", 1]], [["e1", -1]], [["e2", 1]], [["e2", -1]]]
+
+
+def _spelled_out_key(w):
+    """Shortlex key on the word written out one letter (g, e < 0) at a time."""
+    letters = [(g, e < 0) for g, e in w.syllables for _ in range(abs(e))]
+    return (len(letters), letters)
+
+
+def test_shortlex_key_matches_spelled_out_letters():
+    rng = random.Random(15)
+    for ctx in PRODUCT_FAMILIES + (KLEIN_SOL,):
+        words = [rand_word(ctx, rng, max_syllables=5) for _ in range(150)]
+        words += ctx.ball(2)
+        keys = [(w.shortlex_key(), _spelled_out_key(w)) for w in words]
+        for ku, su in keys:
+            for kv, sv in keys:
+                assert (ku < kv) == (su < sv) and (ku == kv) == (su == sv)
+
+
+def test_shortlex_key_size_is_linear_in_syllables():
+    w = F2.word([("a", 10**18), ("b", -(10**18))])
+    n, key = w.shortlex_key()
+    assert n == 2 * 10**18 and len(key) == 2
 
 
 def test_ball_cap():
