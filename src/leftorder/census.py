@@ -7,12 +7,12 @@ enumerator backtracks over elements in shortlex order with unit propagation
 output is the complete, deterministic list of locally consistent assignments.
 It is the independent oracle the classified cone families are checked against.
 
-The search runs on a :class:`BallIndex`: the ball's elements numbered
-``0..n-1`` in shortlex order, their inverses and the in-ball closure triples
-as ints, built once per radius from the context's ``ball_products``.
-Signs live in an int list; propagation appends to a trail, and backtracking
-undoes the trail to the mark taken at the decision (as in MiniSat), with an
-explicit stack in place of recursion.
+The search runs on the context's ``ball_index``: the ball's elements
+numbered ``0..n-1`` in shortlex order and their inverses as ints.  It adds
+the in-ball closure triples from the context's ``ball_products``, built once
+per search and freed with it.  Signs live in an int list; propagation
+appends to a trail, and backtracking undoes the trail to the mark taken at
+the decision (as in MiniSat), with an explicit stack in place of recursion.
 """
 
 from __future__ import annotations
@@ -40,30 +40,22 @@ class BallCone:
         return [[w.pairs(), s] for w, s in zip(self.domain, self.signs)]
 
 
-class BallIndex:
-    """B_r minus the identity as ints, with inverses and closure triples.
+class _Search:
+    """Shared propagation engine for enumeration and extension checking.
 
-    ``domain[i]`` is the i-th nonidentity element in shortlex order,
-    ``ids`` maps its syllables back to ``i``, ``inv[i]`` is the id of its
-    inverse and ``by_id[i]`` lists every triple ``(u, v, p)`` of ids with
-    ``domain[u] * domain[v] == domain[p]`` in which ``i`` occurs.
+    ``index`` is the context's numbered B_r and ``by_id[i]`` lists every
+    closure triple ``(u, v, p)`` of ids in which ``i`` occurs.  ``sign[i]``
+    is +1, -1 or 0 (unassigned); ``trail`` lists assigned ids in assignment
+    order and doubles as the propagation queue.
     """
 
     def __init__(self, ctx: GroupCtx, r: int, gens=None,
                  cap: int = CENSUS_DOMAIN_CAP):
-        domain = [w for w in ctx.ball(r, gens=gens) if not w.is_identity()]
-        if len(domain) > cap:
+        index = ctx.ball_index(r, gens)
+        if len(index.domain) > cap:
             raise ResourceLimitError(
-                f"census domain has {len(domain)} elements, cap is {cap}")
-        self.domain = tuple(domain)
-        syls = [w.syllables for w in domain]
-        ids = {s: i for i, s in enumerate(syls)}
-        self.ids = ids
-        # ball words are already normal, so the raw normal form suffices
-        norm = ctx._normalize
-        self.inv = [ids[norm(tuple((g, -e) for g, e in reversed(s)))]
-                    for s in syls]
-        by_id: list[list[tuple[int, int, int]]] = [[] for _ in syls]
+                f"census domain has {len(index.domain)} elements, cap is {cap}")
+        by_id: list[list[tuple[int, int, int]]] = [[] for _ in index.domain]
         for t in ctx.ball_products(r, gens):
             u, v, p = t
             by_id[u].append(t)
@@ -71,18 +63,7 @@ class BallIndex:
                 by_id[v].append(t)
             if p != u and p != v:
                 by_id[p].append(t)
-        self.by_id = by_id
-
-
-class _Search:
-    """Shared propagation engine for enumeration and extension checking.
-
-    ``sign[i]`` is +1, -1 or 0 (unassigned); ``trail`` lists assigned ids in
-    assignment order and doubles as the propagation queue.
-    """
-
-    def __init__(self, index: BallIndex):
-        self.index = index
+        self.index, self.by_id = index, by_id
         self.sign = [0] * len(index.domain)
         self.trail: list[int] = []
 
@@ -98,7 +79,7 @@ class _Search:
         sign, trail = self.sign, self.trail
         if sign[w]:
             return sign[w] == s
-        inv, by_id = self.index.inv, self.index.by_id
+        inv, by_id = self.index.inv, self.by_id
         head = len(trail)
         sign[w] = s
         trail.append(w)
@@ -164,11 +145,11 @@ class _Search:
 def enumerate_ball_cones(ctx: GroupCtx, r: int, gens=None,
                          cap: int = CENSUS_DOMAIN_CAP) -> list[BallCone]:
     """All ball cones on B_r, in canonical order (shortlex on sign vectors)."""
-    index = BallIndex(ctx, r, gens, cap)
+    search = _Search(ctx, r, gens, cap)
     found: list[tuple[int, ...]] = []
-    _Search(index).run(collect=found)
+    search.run(collect=found)
     found.sort(key=lambda signs: tuple(0 if s == 1 else 1 for s in signs))
-    return [BallCone(ctx, r, index.domain, signs) for signs in found]
+    return [BallCone(ctx, r, search.index.domain, signs) for signs in found]
 
 
 def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
@@ -185,7 +166,7 @@ def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
         search = searches.get(cone.ctx)
         if search is None:
             search = searches[cone.ctx] = _Search(
-                BallIndex(cone.ctx, target_radius, gens, cap))
+                cone.ctx, target_radius, gens, cap)
         search.undo(0)
         ids = search.index.ids
         if (all(search.assign(ids[w.syllables], s)
@@ -205,5 +186,5 @@ def census_digest(cones: list[BallCone]) -> dict:
 
 def restriction_ball_cone(cone_sign, ctx: GroupCtx, r: int, gens=None) -> BallCone:
     """Restrict a genuine cone's sign oracle to B_r as a BallCone."""
-    domain = tuple(w for w in ctx.ball(r, gens=gens) if not w.is_identity())
+    domain = ctx.ball_index(r, gens).domain
     return BallCone(ctx, r, domain, tuple(cone_sign(w) for w in domain))

@@ -520,17 +520,17 @@ class AxiomCheckReport:
 def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
     """Verify antisymmetry and positive-closure on B_r; first witness wins."""
     ctx = c.ctx
-    nonident = [w for w in ctx.ball(r) if not w.is_identity()]
-    # keyed by normal-form syllables: every word here comes from ctx itself
-    signs = {w.syllables: c.sign(w) for w in nonident}
-    for w in nonident:
-        if signs[w.syllables] != -signs[ctx.inv(w).syllables]:
-            return AxiomCheckReport(False, "antisymmetry", (w, ctx.inv(w)), r)
-    positives = [i for i, w in enumerate(nonident) if signs[w.syllables] == 1]
+    index = ctx.ball_index(r)
+    domain, inv = index.domain, index.inv
+    signs = [c.sign(w) for w in domain]
+    for i, w in enumerate(domain):
+        if signs[i] != -signs[inv[i]]:
+            return AxiomCheckReport(False, "antisymmetry", (w, domain[inv[i]]), r)
+    positives = [i for i, s in enumerate(signs) if s == 1]
     for u, v, p in ctx.ball_products(r, among=positives):
-        if signs[nonident[p].syllables] != 1:
+        if signs[p] != 1:
             return AxiomCheckReport(
-                False, "closure", (nonident[u], nonident[v], nonident[p]), r)
+                False, "closure", (domain[u], domain[v], domain[p]), r)
     return AxiomCheckReport(True, None, (), r)
 
 

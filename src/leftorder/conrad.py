@@ -58,8 +58,7 @@ def conradian_check(c: Cone, r: int, collect_all: bool = False) -> ConradianRepo
     ball check finite.  pass(r) is bounded evidence only.
     """
     ctx = c.ctx
-    ball = [w for w in ctx.ball(r) if not w.is_identity()]
-    positives = [w for w in ball if c.sign(w) == 1]
+    positives = [w for w in ctx.ball_index(r).domain if c.sign(w) == 1]
     witnesses = []
     for g in positives:
         g_inv = ctx.inv(g)

@@ -22,14 +22,15 @@ products give ``_product``, which cancels and merges only where the two words
 meet, and their ``_normalize`` multiplies the normal forms of the two halves
 of the syllables.
 
-``ball_products`` yields the products of two ball elements that land in the
-ball, as id triples.  Its default tries every pair; free groups walk only the
-products that stay in the ball.
+``ball_index`` numbers a word ball once per context (``ball`` is its list
+view), and ``ball_products`` yields the in-ball products of two of its
+elements as id triples: a pair loop by default, a walk on free groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
@@ -108,6 +109,46 @@ class AbelianImage:
 
     free: tuple[int, ...]
     torsion: tuple[tuple[int, int], ...] = ()
+
+
+class BallIndex:
+    """B_r on ``gens`` in shortlex order: ``words``, and ``domain`` without 1.
+
+    ``ids`` maps the syllables of ``domain[i]`` to ``i``, and ``inv[i]``,
+    built on first use, is the id of its inverse.
+    """
+
+    def __init__(self, ctx: "GroupCtx", r: int, gens: tuple[Word, ...] | None):
+        letters = list(gens) if gens is not None else ctx.ball_generators()
+        seen = {ctx.identity()}
+        frontier = [ctx.identity()]
+        for _ in range(r):
+            nxt = []
+            for w in frontier:
+                for let in letters:
+                    w2 = ctx.mul(w, let)
+                    if w2 not in seen:
+                        seen.add(w2)
+                        nxt.append(w2)
+                        if len(seen) > BALL_ELEMENT_CAP:
+                            raise ResourceLimitError(
+                                f"ball exceeds cap of {BALL_ELEMENT_CAP} elements")
+            frontier = nxt
+        self.ctx = ctx
+        self.words = tuple(sorted(seen, key=Word.shortlex_key))
+        self.domain = self.words[1:]   # the identity sorts first
+        self.ids = {w.syllables: i for i, w in enumerate(self.domain)}
+
+    @cached_property
+    def inv(self) -> list[int]:
+        # ball words are already normal, so the raw normal form suffices
+        norm, ids = self.ctx._normalize, self.ids
+        try:
+            return [ids[norm(tuple((g, -e) for g, e in reversed(w.syllables)))]
+                    for w in self.domain]
+        except KeyError:
+            raise MalformedWordError(
+                "ball generators are not closed under inverses") from None
 
 
 class GroupCtx:
@@ -205,54 +246,39 @@ class GroupCtx:
         gens = self.gens()
         return gens + [self.inv(g) for g in gens]
 
-    def ball(self, r: int, gens: tuple[Word, ...] | None = None,
-             cap: int = BALL_ELEMENT_CAP) -> list[Word]:
+    def ball(self, r: int, gens: tuple[Word, ...] | None = None) -> list[Word]:
         """All elements reachable by <= r generator letters, sorted shortlex."""
-        key = (self, r, None if gens is None else tuple(gens))
-        cached = _BALL_CACHE.get(key)
-        if cached is not None:
-            if len(cached) > cap:
-                raise ResourceLimitError(
-                    f"ball exceeds cap of {cap} elements")
-            if cached and cached[0].ctx is not self:
-                # filled by an equal context: hand out words this one trusts
-                return [Word(self, w.syllables, True) for w in cached]
-            return list(cached)
-        letters = list(gens) if gens is not None else self.ball_generators()
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for let in letters:
-                    w2 = self.mul(w, let)
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-                        if len(seen) > cap:
-                            raise ResourceLimitError(
-                                f"ball exceeds cap of {cap} elements")
-            frontier = nxt
-        out = sorted(seen, key=Word.shortlex_key)
-        _BALL_CACHE[key] = tuple(out)
-        return out
+        return list(self.ball_index(r, gens).words)
+
+    def ball_index(self, r: int,
+                   gens: tuple[Word, ...] | None = None) -> BallIndex:
+        """The numbered ball B_r on ``gens`` (default: generators and inverses).
+
+        Built once per context and kept on it, outside the dataclass fields,
+        so it is neither compared, hashed nor printed and goes with the context.
+        """
+        balls = vars(self).setdefault("_balls", {})
+        key = (r, None if gens is None else tuple(gens))
+        index = balls.get(key)
+        if index is None:
+            index = balls[key] = BallIndex(self, r, gens)
+        return index
 
     def ball_products(self, r: int, gens: tuple[Word, ...] | None = None,
                       among=None):
         """Yield every in-ball product ``(u, v, p)`` of ids, ``u`` and ``v`` in ``among``.
 
-        Ids number the nonidentity elements of ``ball(r, gens)`` in order,
-        and ``ball[u] * ball[v] == ball[p]``.  ``among`` is a sorted id list;
-        ``None`` means every id.  Triples come in ascending ``(u, v)`` order,
-        one ``u`` row at a time, and identity products are left out.
+        Ids are those of ``ball_index(r, gens)``, and
+        ``domain[u] * domain[v] == domain[p]``.  ``among`` is a sorted id
+        list; ``None`` means every id.  Triples come in ascending ``(u, v)``
+        order, one ``u`` row at a time, and identity products are left out.
 
         This default tries every pair through ``_product``.  With ``among``
-        None it needs the ball closed under inverses, as a symmetric
-        ``gens`` gives.
+        None it reads the inverse ids, so ``gens`` must be symmetric.
         """
-        syls = [w.syllables for w in self.ball(r, gens) if not w.is_identity()]
-        ids = {s: i for i, s in enumerate(syls)}
-        get, product = ids.get, self._product
+        index = self.ball_index(r, gens)
+        syls = [w.syllables for w in index.domain]
+        get, product = index.ids.get, self._product
         if among is not None:
             for u in among:
                 su = syls[u]
@@ -264,8 +290,7 @@ class GroupCtx:
         # u * w^-1 = p  iff  w * u^-1 = p^-1, so the pairs w > u give every
         # triple, each product found once for two rows (u * u^-1 = 1 is skipped);
         # ``later[w]`` holds row w's triples found from an earlier row
-        inv = [ids[self._normalize(tuple((g, -e) for g, e in reversed(s)))]
-               for s in syls]
+        inv = index.inv
         later: list[list[tuple[int, int]]] = [[] for _ in syls]
         for u, su in enumerate(syls):
             row, later[u] = later[u], []
@@ -280,9 +305,6 @@ class GroupCtx:
 
     def __repr__(self) -> str:
         return f"<{self.descriptor()['family']} on {','.join(self.gen_names)}>"
-
-
-_BALL_CACHE: dict = {}
 
 
 # -- free groups ----------------------------------------------------------
@@ -326,7 +348,7 @@ class FreeCtx(GroupCtx):
         # one int object per id, shared by every triple: the census search
         # reads them in its innermost loop
         ids = list(range(len(ball) - 1))
-        node = {w.syllables: i for i, w in enumerate(ball)}
+        id_of = self.ball_index(r).ids
         # letter 2g is g, 2g + 1 is g^-1; child[i][l] is the node of
         # ball[i] * l when that is reduced and in the ball, else 0; below[i]
         # lists the ids of the ball words that start with ball[i], in order
@@ -340,7 +362,7 @@ class FreeCtx(GroupCtx):
                 head = s[:-1]
             else:
                 head = s[:-1] + ((g, e - 1 if e > 0 else e + 1),)
-            parent[i], last[i] = node[head], 2 * g + (e < 0)
+            parent[i], last[i] = id_of.get(head, -1) + 1, 2 * g + (e < 0)
             child[parent[i]][last[i]] = i
             j = i
             while j:
@@ -479,21 +501,22 @@ class _ProductCtx(GroupCtx):
     family = ""
 
     def __post_init__(self):
-        names, offsets, at = [], [], 0
-        for f in self.factors:
-            offsets.append(at)
+        names, offsets, factor = [], [], []
+        for i, f in enumerate(self.factors):
+            offsets.append(len(names))
             names.extend(f.gen_names)
-            at += len(f.gen_names)
+            factor.extend([i] * len(f.gen_names))
         if len(set(names)) != len(names):
             raise MalformedWordError("factor generator names collide")
         object.__setattr__(self, "gen_names", tuple(names))
         object.__setattr__(self, "offsets", tuple(offsets))
+        # generator id -> factor, a derived table outside the dataclass fields
+        object.__setattr__(self, "_factor", tuple(factor))
 
     def factor_of(self, g: int) -> int:
-        for i in reversed(range(len(self.factors))):
-            if g >= self.offsets[i]:
-                return i
-        raise MalformedWordError(f"generator id {g} out of range")
+        if not 0 <= g < len(self._factor):
+            raise MalformedWordError(f"generator id {g} out of range")
+        return self._factor[g]
 
     def _local(self, i: int, syls: Syllables) -> Syllables:
         off = self.offsets[i]
@@ -510,10 +533,9 @@ class _ProductCtx(GroupCtx):
     def factor_word(self, i: int, w: Word) -> Word:
         """Image of w under the retraction killing all other factors."""
         self.check_word(w)
-        keep = [(g - self.offsets[i], e) for g, e in w.syllables
-                if self.factor_of(g) == i]
-        return Word(self.factors[i], self.factors[i]._normalize(tuple(keep)),
-                    True)
+        keep = [s for s in w.syllables if self._factor[s[0]] == i]
+        return Word(self.factors[i],
+                    self.factors[i]._normalize(self._local(i, keep)), True)
 
     def embed_factor(self, i: int, w: Word) -> Word:
         # a factor normal form, renumbered, is a normal form of the product
@@ -534,16 +556,16 @@ class FreeProductCtx(_ProductCtx):
     def _product(self, a, b):
         # merge the last factor run of a[:i] with the first of b[j:]; when
         # they cancel to nothing, the next pair of runs meets
-        factor_of = self.factor_of
+        factor_of = self._factor   # indexed: a and b are normal forms
         i, j, n = len(a), 0, len(b)
         while i and j < n:
-            f = factor_of(a[i - 1][0])
-            if factor_of(b[j][0]) != f:
+            f = factor_of[a[i - 1][0]]
+            if factor_of[b[j][0]] != f:
                 break
             s, t = i - 1, j + 1
-            while s and factor_of(a[s - 1][0]) == f:
+            while s and factor_of[a[s - 1][0]] == f:
                 s -= 1
-            while t < n and factor_of(b[t][0]) == f:
+            while t < n and factor_of[b[t][0]] == f:
                 t += 1
             merged = self.factors[f]._product(self._local(f, a[s:i]),
                                               self._local(f, b[j:t]))
@@ -558,14 +580,12 @@ class DirectProductCtx(_ProductCtx):
 
     def _normalize(self, syllables):
         per = [[] for _ in self.factors]
-        for g, e in syllables:
-            i = self.factor_of(g)
-            per[i].append((g - self.offsets[i], e))
-        out = []
+        for s in syllables:
+            per[self._factor[s[0]]].append(s)
+        out = ()
         for i, f in enumerate(self.factors):
-            off = self.offsets[i]
-            out.extend((g + off, e) for g, e in f._normalize(tuple(per[i])))
-        return tuple(out)
+            out += self._global(i, f._normalize(self._local(i, per[i])))
+        return out
 
 
 # -- semidirect products Z^2 x| Z ---------------------------------------------

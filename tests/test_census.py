@@ -4,13 +4,12 @@ import random
 import pytest
 
 from leftorder.census import (
-    BallCone, BallIndex, census_digest, enumerate_ball_cones,
+    BallCone, _Search, census_digest, enumerate_ball_cones,
     extendable_filter, restriction_ball_cone,
 )
 from leftorder.cones import klein_cones, slope_cone, z_cone
-from leftorder.errors import ResourceLimitError
+from leftorder.errors import MalformedWordError, ResourceLimitError
 from leftorder.surd import Mat2
-from leftorder import words
 from leftorder.words import (
     DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
     ZPowCtx,
@@ -108,33 +107,44 @@ def test_extendable_filter_target_cap():
         extendable_filter(cones, 4, cap=100)   # B_4 of F2 has 160 non-identity
 
 
+def test_non_symmetric_generators_rejected():
+    a, b = F2.gens()
+    with pytest.raises(MalformedWordError, match="not closed under inverses"):
+        enumerate_ball_cones(FreeCtx(2), 2, gens=(a, b))
+
+
 # -- the integer index against Word arithmetic --------------------------------
 
-@pytest.mark.parametrize("ctx", [
-    Z2, KLEIN, F2, SemidirectCtx(Mat2(2, 1, 1, 1)),
-    DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2))),
-    FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))),
-], ids=["z2", "klein", "f2", "sol", "zxf2", "zz-free"])
-def test_ball_index_matches_word_products(ctx):
-    index = BallIndex(ctx, 2)
+@pytest.mark.parametrize("ctx,gens", [
+    (Z2, None), (Z2, BOX), (KLEIN, None), (F2, None),
+    (SemidirectCtx(Mat2(2, 1, 1, 1)), None),
+    (DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2))), None),
+    (FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))), None),
+], ids=["z2", "z2-box", "klein", "f2", "sol", "zxf2", "zz-free"])
+def test_ball_index_matches_word_products(ctx, gens):
+    index = ctx.ball_index(2, gens)
     domain = index.domain
+    assert [ctx.identity(), *domain] == ctx.ball(2, gens)
     pos = {w: i for i, w in enumerate(domain)}
     assert [pos[ctx.inv(w)] for w in domain] == index.inv
     assert all(index.ids[w.syllables] == i for w, i in pos.items())
     products = {(pos[u], pos[v], pos[ctx.mul(u, v)])
                 for u in domain for v in domain if ctx.mul(u, v) in pos}
-    for i, triples in enumerate(index.by_id):
+    for i, triples in enumerate(_Search(ctx, 2, gens).by_id):
         assert len(triples) == len(set(triples))
         assert set(triples) == {t for t in products if i in t}
 
 
-@pytest.mark.parametrize("ctx,r,gens,calls", [
-    (Z2, 4, None, 964), (KLEIN, 5, None, 2058), (Z2, 3, BOX, 1424),
+@pytest.mark.parametrize("make,r,box,calls", [
+    (lambda: ZPowCtx(2), 4, False, 964), (KleinCtx, 5, False, 2058),
+    (lambda: ZPowCtx(2), 3, True, 1424),
 ], ids=["z2-r4", "klein-r5", "z2-box-r3"])
-def test_ball_index_normalize_calls(monkeypatch, ctx, r, gens, calls):
-    # a cold index build costs no more normal forms than the halved pair loop
-    # it replaced: the ball, n inverses and one product per pair u < w
-    monkeypatch.setattr(words, "_BALL_CACHE", {})
+def test_ball_index_normalize_calls(monkeypatch, make, r, box, calls):
+    # a cold build of the search's ball and closure triples costs no more
+    # normal forms than the halved pair loop: the ball, n inverses and one
+    # product per pair u < w; a fresh context has built no ball yet
+    ctx = make()
+    gens = tuple(ctx.box_generators()) if box else None
     count = [0]
     normalize = type(ctx)._normalize
 
@@ -143,7 +153,7 @@ def test_ball_index_normalize_calls(monkeypatch, ctx, r, gens, calls):
         return normalize(self, syllables)
 
     monkeypatch.setattr(type(ctx), "_normalize", counted)
-    BallIndex(ctx, r, gens)
+    _Search(ctx, r, gens)
     assert count[0] <= calls
 
 

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 
 import pytest
 
@@ -268,6 +270,14 @@ def test_external_bad_generator_still_rejected():
             cone.sign(Word(cone.ctx, ((9, 1),)))
 
 
+def test_factor_of_rejects_ids_out_of_range():
+    assert [ZXZ.factor_of(g) for g in range(2)] == [0, 1]
+    assert [NESTED_FP.factor_of(g) for g in range(5)] == [0, 0, 0, 1, 1]
+    for g in (-1, 2, 5):
+        with pytest.raises(MalformedWordError):
+            ZXZ.factor_of(g)
+
+
 def test_word_of_another_context_still_rejected():
     a = F2.word([("a", 1)])  # built, and trusted, by F2
     for op in (lambda: Z2.mul(Z2.gens()[0], a), lambda: Z2.inv(a),
@@ -461,16 +471,18 @@ def test_shortlex_key_size_is_linear_in_syllables():
     assert n == 2 * 10**18 and len(key) == 2
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setattr("leftorder.words.BALL_ELEMENT_CAP", 1000)
     with pytest.raises(ResourceLimitError):
-        F2.ball(8, cap=1000)
+        F2.ball(8)
 
 
-def test_ball_cap_on_cache_hit():
-    assert len(F2.ball(3)) == 53  # fills the cache for radius 3
-    with pytest.raises(ResourceLimitError):
-        F2.ball(3, cap=52)
-    assert len(F2.ball(3, cap=53)) == 53
+def test_ball_goes_with_its_context():
+    ctx = FreeCtx(2)
+    ref = weakref.ref(ctx.ball(3)[-1])
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_ball_cache_hit_from_equal_context():
@@ -523,6 +535,12 @@ def test_ball_products_match_pair_loop(ctx, r, gens):
     among = sorted(random.Random(n).sample(range(n), n // 2))
     assert (list(ctx.ball_products(r, gens, among))
             == _pair_loop_products(ctx, r, gens, among))
+
+
+@pytest.mark.parametrize("ctx", [F2, Z2], ids=["f2", "z2"])
+def test_ball_products_need_symmetric_generators(ctx):
+    with pytest.raises(MalformedWordError, match="not closed under inverses"):
+        list(ctx.ball_products(2, tuple(ctx.gens())))
 
 
 def test_ball_products_free_count_r6():
