@@ -3,7 +3,8 @@
 Convention, fixed once and property-tested: the cone g . P answers
 sign(w) = sign_P(g^-1 w g), so conj_cone(conj_cone(c, g), h) equals
 conj_cone(c, h g).  Conjugates simplify to canonical descriptors whenever the
-family algebra is known (abelian contexts, Klein parity, lex components);
+family algebra is known (abelian contexts, Klein parity, lex components),
+and a dynamical cone's conjugate is the dynamical cone on moved basepoints;
 everything else stays an honest wrapper compared on balls.
 """
 
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatchError, OrbitUndecidedError
+from .errors import ContextMismatchError, OrbitUndecidedError, PoleError
 from .cones import (
-    Cone, ConjugateCone, KernelActionCone, KleinCone, LexCone, QuadSlopeCone,
-    RestrictionCone, SlopeCone, ZSignCone, detect_slope, restrict_cone,
-    slope_cone,
+    Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
+    QuadSlopeCone, RestrictionCone, SlopeCone, ZSignCone, detect_slope,
+    restrict_cone, slope_cone,
 )
+from .surd import MAT_IDENTITY, mobius_apply
 from .words import DirectProductCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx
 
 
@@ -37,6 +39,17 @@ def conj_cone(c: Cone, g: Word) -> Cone:
                        conj_cone(c.quotient_cone, c.ses.project(g)))
     if isinstance(c, ConjugateCone):
         return conj_cone(c.base, ctx.mul(g, c.by))
+    if isinstance(c, DynamicalCone):
+        # L(g^-1 w g) moves (x, 0) as L(w) moves L(g) (x, 0); lifts commute
+        # with deck shifts, so only the projective point g x matters
+        m = MAT_IDENTITY
+        for i, e in g.syllables:
+            m = m @ c.images[i].power(e)
+        try:
+            return DynamicalCone(ctx, c.images,
+                                 tuple(mobius_apply(m, x) for x in c.basepoints))
+        except PoleError:  # a rational basepoint sent to infinity
+            pass
     return ConjugateCone(c, g)
 
 

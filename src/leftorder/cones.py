@@ -19,8 +19,7 @@ from .errors import (
     InvalidSlopeError, NoSignError, WrongConstructorError,
 )
 from .surd import (
-    Mat2, QuadNum, cmp_triples, mat2, mobius_triple, primitive_vec,
-    sign_int_surd, sqrt_of,
+    Mat2, QuadNum, cmp_triples, mat2, mobius_cover, primitive_vec, sqrt_of,
 )
 from .words import (
     FreeCtx, GroupCtx, KleinCtx, ShortExactSeq, Word, ZPowCtx,
@@ -221,41 +220,33 @@ def lex_cone(ses: ShortExactSeq, kernel_cone: Cone, quotient_cone: Cone) -> LexC
 
 # -- dynamical cone on the free group ---------------------------------------------
 
-def _crossing(mat, t) -> int:
-    """1 if the point sits above the pole of the map, else 0 (0 for c = 0)."""
-    a, b, c, dd = mat
-    if c == 0:
-        return 0
-    p, q, r, d = t
-    s = sign_int_surd(c * p + dd * r, c * q, d) * _sgn(c)
-    if s == 0:
-        raise InvalidConeError("basepoint hit a pole")
-    return 1 if s > 0 else 0
-
-
 class _Lifted:
     """Element of the lifted Mobius group: matrix plus deck offset.
 
     Acts on the ordered universal cover of the projective line by
-    (x, n) -> (Mx, n + crossing_M(x) + delta).  The crossing lift of a
-    product differs from the product of crossing lifts by a constant deck
-    shift, so composition only needs one exact evaluation point.
+    (x, n) -> (Mx, n + crossing_M(x) + delta), which is
+    ``mobius_cover(mat, x, n + delta)``.  The crossing lift of a product
+    differs from the product of crossing lifts by a constant deck shift, so
+    composition only needs one exact evaluation point.  ``pts`` and
+    ``inv_pts`` cache the images of the owning cone's basepoints under the
+    element and under its inverse, filled on first use.
     """
 
-    __slots__ = ("mat", "delta", "img0", "cross0")
+    __slots__ = ("mat", "delta", "img0", "cross0", "pts", "inv_pts")
 
     def __init__(self, mat, delta, img0, cross0):
         self.mat = mat
         self.delta = delta
         self.img0 = img0
         self.cross0 = cross0
+        self.pts = self.inv_pts = None
 
 
 _BASE0 = (0, 1, 1, 2)  # sqrt(2); irrational, so it never meets a rational pole
 
 
 def _lift_of_matrix(mat, delta=0) -> _Lifted:
-    return _Lifted(mat, delta, mobius_triple(mat, _BASE0), _crossing(mat, _BASE0))
+    return _Lifted(mat, delta, *mobius_cover(mat, _BASE0))
 
 
 def _lift_identity() -> _Lifted:
@@ -268,22 +259,28 @@ def _lift_compose(e1: _Lifted, e2: _Lifted) -> _Lifted:
     a, b, c, d = m1
     e, f, g, h = m2
     m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    img0 = mobius_triple(m1, e2.img0)
-    cross0 = _crossing(m, _BASE0)
-    eps = e2.cross0 + _crossing(m1, e2.img0) - cross0
-    out = _Lifted(m, e1.delta + e2.delta + eps, img0, cross0)
-    return out
+    # the product sends the base point where e1 sends e2's image of it
+    img0, sheet = mobius_cover(m1, e2.img0, e2.cross0 + e2.delta + e1.delta)
+    cross0 = mobius_cover(m, _BASE0)[1]
+    return _Lifted(m, sheet - cross0, img0, cross0)
 
 
 def _lift_inverse(e: _Lifted) -> _Lifted:
     a, b, c, d = e.mat
     det = a * d - b * c
     minv = (d, -b, -c, a) if det == 1 else (-d, b, c, -a)
-    img0 = mobius_triple(minv, _BASE0)
-    cross0 = _crossing(minv, _BASE0)
-    # delta' solves (minv, delta') (m, delta) = identity
-    eps = e.cross0 + _crossing(minv, e.img0) - 0
-    return _Lifted(minv, -e.delta - eps, img0, cross0)
+    # delta' solves (minv, delta') (m, delta) = identity: the inverse sends
+    # e's image of the base point back to sheet 0
+    sheet = mobius_cover(minv, e.img0, e.cross0 + e.delta)[1]
+    return _lift_of_matrix(minv, -sheet)
+
+
+def _cmp_points(pt1, pt2) -> int:
+    """Cover points compare sheet first, then by position on the line."""
+    (t1, n1), (t2, n2) = pt1, pt2
+    if n1 != n2:
+        return 1 if n1 > n2 else -1
+    return cmp_triples(t1, t2)
 
 
 @dataclass(frozen=True)
@@ -308,6 +305,8 @@ class DynamicalCone(Cone):
         for m in self.images:
             if m.det() != 1:
                 raise InvalidConeError("generator images must have det +1")
+        self._memo["base"] = tuple(((x.p, x.q, x.r, x.d), 0)
+                                   for x in self.basepoints)
 
     def _letters(self):
         lifted = self._memo.get("letters")
@@ -348,13 +347,22 @@ class DynamicalCone(Cone):
             out = memo[key] = _lift_compose(out, self._power(*key[-1]))
         return out
 
+    def _points(self, el: _Lifted):
+        """L(el) (x_i, 0) for each basepoint x_i, cached on the record."""
+        if el.pts is None:
+            el.pts = tuple(mobius_cover(el.mat, t, el.delta)
+                           for t, _ in self._memo["base"])
+        return el.pts
+
+    def _inverse_points(self, el: _Lifted):
+        """L(el)^-1 (x_i, 0) for each basepoint x_i, cached on the record."""
+        if el.inv_pts is None:
+            el.inv_pts = self._points(_lift_inverse(el))
+        return el.inv_pts
+
     def _sign_of_element(self, el: _Lifted) -> int:
-        for bp in self.basepoints:
-            t = (bp.p, bp.q, bp.r, bp.d)
-            n = _crossing(el.mat, t) + el.delta
-            if n != 0:
-                return 1 if n > 0 else -1
-            c = cmp_triples(mobius_triple(el.mat, t), t)
+        for base in self._memo["base"]:
+            c = _cmp_points(mobius_cover(el.mat, base[0], el.delta), base)
             if c != 0:
                 return c
         raise InsufficientBasepointsError(
@@ -364,15 +372,33 @@ class DynamicalCone(Cone):
         return self._sign_of_element(self._element(w))
 
     def sign_of_product(self, words) -> int:
-        words = [self.ctx.normalize(w) for w in words] or [self.ctx.identity()]
-        el = self._element(words[0])
-        for w in words[1:]:
-            el = _lift_compose(el, self._element(w))
-        if el.mat in ((1, 0, 0, 1), (-1, 0, 0, -1)) and el.delta == 0:
-            # trivial cover element: the generic path raises NoSignError if
-            # the word itself is trivial, else InsufficientBasepointsError
-            return super().sign_of_product(words)
-        return self._sign_of_element(el)
+        """Sign of w1 ... wk, read from cover points without composing lifts.
+
+        L(w1) is increasing, so L(w1 ... wk) moves x up iff L(w2) ... L(wk) x
+        lies above L(w1)^-1 x.  The point of wk and the inverse point of w1
+        are cached on their lifted records, so each middle factor costs one
+        point application; the first basepoint where the two differ decides.
+        """
+        words = tuple(words)
+        ctx, memo = self.ctx, self._memo
+        lifted = []
+        for w in words:
+            el = memo.get(w.syllables) if w.nf and w.ctx is ctx else None
+            lifted.append(el if el is not None
+                          else self._element(ctx.normalize(w)))
+        if lifted:
+            targets = self._inverse_points(lifted[0])
+            starts = self._points(lifted[-1]) if len(lifted) > 1 else memo["base"]
+            middle = lifted[-2:0:-1]  # w_(k-1), ..., w_2: applied right to left
+            for (t, n), target in zip(starts, targets):
+                for el in middle:
+                    t, n = mobius_cover(el.mat, t, n + el.delta)
+                c = _cmp_points((t, n), target)
+                if c != 0:
+                    return c
+        # every basepoint ties: the generic path raises NoSignError if the
+        # product is trivial, else InsufficientBasepointsError
+        return super().sign_of_product(words)
 
 
 def dynamical_cone(ctx: FreeCtx | None = None) -> DynamicalCone:

@@ -12,16 +12,27 @@ from random import Random
 
 from .cones import Cone
 from .errors import InvalidHomError
-from .words import GroupCtx, Word
+from .words import GroupCtx, Word, ZPowCtx
 
 
 def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64):
-    """Membership predicate of <w>, decided against |k| <= power_bound powers.
+    """Membership predicate of <w>.
 
-    The bound must dominate the ball radius the predicate will be scanned
-    over; the default covers every desk-scale radius used here.
+    On Z^n membership is exact: u is in <w> iff its vector is an integer
+    multiple of w's.  Other families decide against the |k| <= power_bound
+    powers; the bound must dominate the ball radius the predicate will be
+    scanned over, and the default covers every desk-scale radius used here.
     """
     w = ctx.normalize(w)
+    if isinstance(ctx, ZPowCtx):
+        base = ctx.vector(w)
+        i = next((i for i, x in enumerate(base) if x), None)
+
+        def member(u: Word) -> bool:
+            v = ctx.vector(ctx.normalize(u))
+            k = 0 if i is None else v[i] // base[i]
+            return v == tuple(k * x for x in base)
+        return member
     powers = {ctx.identity()}
     p = ctx.identity()
     q = ctx.identity()

@@ -226,10 +226,16 @@ def cmp_triples(t1, t2) -> int:
     return sign_int_surd(a, b, d)
 
 
-def mobius_triple(mat, t):
-    """Mobius image (a x + b) / (c x + d) as a gcd-reduced tuple.
+def mobius_cover(mat, t, n: int = 0):
+    """Image of the cover point (x, n) under the crossing lift of a Mobius map.
 
-    The denominator comes back 0 exactly when x is the pole of the map.
+    Points of the universal cover of the projective line are pairs (x, n)
+    ordered sheet first; the lift sends (x, n) to ((a x + b) / (c x + d),
+    n + 1) when x lies above the pole -d/c, and to the same image on sheet n
+    otherwise.  The image comes back as a gcd-reduced tuple.  x lies above
+    the pole iff c x + d has the sign of c, and that sign falls out of the
+    norm that rationalizes the denominator, so the crossing costs no extra
+    multiplication.  Raises PoleError when x is the pole.
     """
     a, b, c, dd = mat
     p, q, r, d = t
@@ -238,6 +244,11 @@ def mobius_triple(mat, t):
     np_, nq = a * p + b * r, a * q
     dp, dq = c * p + dd * r, c * q
     denom = dp * dp - dq * dq * d
+    if denom == 0:
+        raise PoleError(f"Mobius map {mat} has a pole at {t}")
+    # c x + d has the sign of dp when |dp| > |dq| sqrt(d), else that of dq
+    if c and ((dp if denom > 0 else dq) > 0) == (c > 0):
+        n += 1
     pp = np_ * dp - nq * dq * d
     qq = nq * dp - np_ * dq
     if denom < 0:
@@ -245,14 +256,12 @@ def mobius_triple(mat, t):
     g = gcd(gcd(abs(pp), abs(qq)), denom)
     if g > 1:
         pp, qq, denom = pp // g, qq // g, denom // g
-    return (pp, qq, denom, d)
+    return (pp, qq, denom, d), n
 
 
 def mobius_apply(m: Mat2, x: QuadNum) -> QuadNum:
     """Exact Mobius image (a x + b) / (c x + d), rationalized to canonical form."""
-    p, q, r, d = mobius_triple((m.a, m.b, m.c, m.d), (x.p, x.q, x.r, x.d))
-    if r == 0:
-        raise PoleError(f"{m} has a pole at {x}")
+    (p, q, r, d), _ = mobius_cover((m.a, m.b, m.c, m.d), (x.p, x.q, x.r, x.d))
     return quad(p, q, r, d)
 
 

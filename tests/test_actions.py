@@ -7,10 +7,12 @@ from leftorder.actions import (
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
 from leftorder.cones import (
-    KernelActionCone, KleinCone, detect_slope, dynamical_cone, lex_cone,
-    quad_slope_cone, restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
+    ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, detect_slope,
+    dynamical_cone, lex_cone, quad_slope_cone, restrict_cone,
+    ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.errors import OrbitUndecidedError
+from leftorder.serialize import cone_from_dict, cone_to_dict
 from leftorder.surd import Mat2, rational, sqrt_of
 from leftorder.words import (
     DirectProductCtx, KleinCtx, SemidirectCtx, ZPowCtx, direct_product_ses,
@@ -186,6 +188,35 @@ def test_cone_equal_ball_unknown_when_oracles_agree():
     # wrapped is c conjugated by the identity-product; oracles agree everywhere
     res = cone_equal(c, wrapped, "ball", 3)
     assert res.verdict in ("equal", "unknown")
+
+
+def test_dynamical_conjugate_moves_basepoints():
+    # g . P is the dynamical cone read at the points g x_i; it signs every
+    # word of B_4 as the wrapper does, and as P signs g^-1 w g
+    c = dynamical_cone()
+    ctx = c.ctx
+    ball4 = ctx.ball(4)[1:]
+    conjugators = ctx.ball(3)[1:]
+    assert len(conjugators) == 52
+    for g in conjugators:
+        moved = conj_cone(c, g)
+        assert isinstance(moved, DynamicalCone) and moved.images == c.images
+        wrapped = ConjugateCone(c, g)
+        g_inv = ctx.inv(g)
+        for w in ball4:
+            s = moved.sign(w)
+            assert s == wrapped.sign(w) == c.sign(ctx.mul(ctx.mul(g_inv, w), g)), (g, w)
+        assert conj_cone(moved, g_inv) == c
+
+
+def test_moved_basepoint_descriptor_round_trips():
+    c = dynamical_cone()
+    moved = conj_cone(c, c.ctx.word([("a", 1), ("b", -2)]))
+    assert moved.basepoints != c.basepoints
+    back = cone_from_dict(cone_to_dict(moved))
+    assert isinstance(back, DynamicalCone) and back == moved
+    for w in c.ctx.ball(3)[1:]:
+        assert back.sign(w) == moved.sign(w)
 
 
 # -- orbits ------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from leftorder.cli import main
 from leftorder.serialize import cone_from_dict, cone_to_dict, ses_from_dict
@@ -266,6 +269,33 @@ def test_verify_witness_reproduces_and_rejects(capsys, tmp_path):
         doc["witnesses"] = []
         code, out = _verify(capsys, tmp_path, doc)
         assert code == 1 and out["result"]["reproduced"] is False
+
+
+@pytest.mark.parametrize("r,sha256", [
+    ("4", "bea7ce6ad161004d02fefc38d0d2284f5960bf619dcfc00bd8dd96d2a4a5a365"),
+    ("5", "8b6722fe405fa3a0083c87e01969c7aabff4b3626ed6475235329433fda32b06"),
+])
+def test_conradian_dynamical_all_bytes_pinned(capsys, r, sha256):
+    code = main(["conradian", "--cone", '{"kind":"dynamical"}', "--r", r, "--all"])
+    out = capsys.readouterr().out
+    assert code == 1 and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_verify_witness_accepts_conradian_all_report(capsys, tmp_path):
+    code, doc = run(capsys, "conradian", "--cone", '{"kind":"dynamical"}',
+                    "--r", "4", "--all")
+    assert code == 1 and len(doc["witnesses"]) == 118
+    code, out = _verify(capsys, tmp_path, doc)
+    assert code == 0 and out["result"]["reproduced"] is True
+
+
+@pytest.mark.parametrize("strategy", ["exact", "ball"])
+def test_orbit_of_dynamical_cone_is_undecided(capsys, strategy):
+    # conjugates are dynamical cones on moved basepoints, which no strategy
+    # can tell equal or apart in general: exit 2 and nothing on stdout
+    code = main(["orbit", "--cone", '{"kind":"dynamical"}', "--conjugators", "a,b",
+                 "--strategy", strategy])
+    assert code == 2 and capsys.readouterr().out == ""
 
 
 def test_verify_witness_axioms_report(capsys, tmp_path):

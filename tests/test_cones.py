@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leftorder.cones import (
-    Cone, KleinCone, check_cone_axioms_on_ball, cyclic_embedding,
+    Cone, DynamicalCone, KleinCone, check_cone_axioms_on_ball, cyclic_embedding,
     detect_slope, dynamical_cone, klein_cones, lex_cone, quad_slope_cone,
     restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
@@ -13,7 +13,7 @@ from leftorder.errors import (
 )
 from leftorder.surd import Mat2, mat2, quad, rational, sign_int_surd, sqrt_of
 from leftorder.words import (
-    DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, ZPowCtx,
+    DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, Word, ZPowCtx,
     direct_product_ses, semidirect_ses,
 )
 
@@ -254,6 +254,56 @@ def test_dynamical_sign_of_product_matches_mul():
                 c.sign_of_product([u, v])
         else:
             assert c.sign_of_product([u, v]) == c.sign(uv)
+
+
+def _point_rule_cones():
+    """The default cone and one on other images and basepoints."""
+    other = DynamicalCone(FreeCtx(2), (mat2([[1, 3], [0, 1]]), mat2([[1, 0], [3, 1]])),
+                          (sqrt_of(5), sqrt_of(7)))
+    return [dynamical_cone(), other]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_dynamical_point_rule_matches_composed_product(which):
+    # sign_of_product reads cover points; Cone.sign_of_product multiplies the
+    # words and signs the composed lift.  Every product of 1-4 factors must
+    # agree, trivial ones raising NoSignError on both paths.
+    c = _point_rule_cones()[which]
+    ctx = c.ctx
+    pool = ctx.ball(4) + [ctx.word(p) for p in (
+        [("a", 10**18)], [("b", -10**18)], [("a", -10**18), ("b", 7)],
+        [("b", 10**18 - 1), ("a", 2), ("b", -3)])]
+    rng = random.Random(31 + which)
+    outcomes = set()
+    for _ in range(2000):
+        words = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        expected = _sign_or_trivial(lambda ws: Cone.sign_of_product(c, ws), words)
+        assert _sign_or_trivial(c.sign_of_product, words) == expected, words
+        outcomes.add(expected)
+    assert outcomes == {1, -1, "trivial"}
+    for w in pool[1:]:
+        for words in ([w, ctx.inv(w)], [ctx.inv(w), w],
+                      [w, pool[5], ctx.inv(pool[5]), ctx.inv(w)]):
+            with pytest.raises(NoSignError):
+                Cone.sign_of_product(c, words)
+            with pytest.raises(NoSignError):
+                c.sign_of_product(words)
+
+
+def _sign_or_trivial(sign_of_product, words):
+    try:
+        return sign_of_product(words)
+    except NoSignError:
+        return "trivial"
+
+
+def test_dynamical_point_rule_on_foreign_and_raw_words():
+    # words of an equal context, and unnormalized ones, go through normalize
+    c = dynamical_cone()
+    raw = Word(c.ctx, ((0, 1), (0, 1), (1, -1)))
+    expected = c.sign(c.ctx.word([("a", 2), ("b", -1)]))
+    assert c.sign_of_product([raw]) == expected
+    assert c.sign_of_product([F2.word([("a", 2)]), F2.word([("b", -1)])]) == expected
 
 
 def _rand_free(rng, n=5):

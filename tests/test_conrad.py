@@ -101,6 +101,23 @@ def test_stated_triple_is_a_genuine_violation():
     assert stated.certify(cone, sub)
 
 
+def test_cyclic_subgroup_exact_on_z():
+    # membership in <w> on Z^n is decided exactly, beyond any power bound
+    member = cyclic_subgroup(Z1, Z1.from_vector((1,)))
+    assert member(Z1.from_vector((65,))) and member(Z1.from_vector((-100,)))
+    triples = cyclic_subgroup(Z1, Z1.from_vector((3,)))
+    assert triples(Z1.from_vector((-300,))) and not triples(Z1.from_vector((7,)))
+
+
+def test_cyclic_subgroup_non_member_on_z2():
+    member = cyclic_subgroup(Z2, Z2.from_vector((2, -4)))
+    assert member(Z2.from_vector((-200, 400))) and member(Z2.identity())
+    assert not member(Z2.from_vector((1, -2)))
+    assert not member(Z2.from_vector((2, -3)))
+    trivial = cyclic_subgroup(Z2, Z2.identity())
+    assert trivial(Z2.identity()) and not trivial(Z2.from_vector((0, 1)))
+
+
 def test_klein_y_subgroup_convex():
     c = KleinCone(KLEIN, 1, 1)
     sub = cyclic_subgroup(KLEIN, KLEIN.word([("y", 1)]))
