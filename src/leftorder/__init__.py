@@ -33,7 +33,7 @@ from .freeprod import (
     fp_project, kernel_decompose, normal_closure_criterion,
 )
 from .amalgam import (
-    AmalgamForm, AmalgamOracles, amalgam_normal_form, free_product_amalgam,
+    AmalgamCtx, amalgam_normal_form, free_product_amalgam, in_factor,
     malnormality_check, square_amalgam,
 )
 from .census import (

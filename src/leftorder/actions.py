@@ -143,13 +143,17 @@ def cone_equal(c1: Cone, c2: Cone, strategy: str = "exact",
     """Decide cone equality.
 
     "exact" decides canonical descriptors (slope, Klein, Z-sign and lex
-    cones built from them); "ball" compares signs on B_radius and answers
-    unknown when descriptors are not canonically comparable.
+    cones built from them) and answers equal for equal dynamical descriptors;
+    "ball" compares signs on B_radius and answers unknown when descriptors
+    are not canonically comparable.
     """
     if c1.ctx != c2.ctx:
         raise ContextMismatchError("cones live on different contexts")
     if strategy == "exact":
         s1, s2 = c1.simplified(), c2.simplified()
+        # distinct basepoints can still give one order, so only == decides
+        if isinstance(s1, DynamicalCone) and s1 == s2:
+            return EqualityResult("equal")
         if not (_exact_comparable(s1) and _exact_comparable(s2)):
             return EqualityResult("unknown", radius=0)
         if s1 == s2:

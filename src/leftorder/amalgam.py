@@ -1,108 +1,81 @@
-"""Amalgam normal forms and malnormality search, oracle-driven.
+"""The amalgam <a, b | a^w0 = b^w1> as a word family, and malnormality search.
 
-Words use free-product syntax over two copies of Z; the side oracles say how
-a factor element splits into a core part (the amalgamated subgroup) and a
-canonical coset representative.  The shipped instances are the free product
-(trivial core) and the a^2 = b^2 amalgam, whose core is central, so the
-normal form is core power times an alternating product of representatives.
+The core z = a^w0 = b^w1 is central, so an element is z^k times alternating
+coset representatives a^r (0 <= r < w0) and b^r (0 <= r < w1); weights
+(0, 0) give Z * Z.  ``AmalgamCtx`` spells z^k as a^(w0 k), merged into a
+leading a-letter, so the generic word machinery runs on amalgams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidOracleError, MalformedWordError
-from .words import FreeProductCtx, Word, ZPowCtx
+from .errors import InvalidOracleError
+from .words import GroupCtx, Syllables, Word
 
 
 @dataclass(frozen=True)
-class AmalgamOracles:
-    """Coset data for C in each Z factor: C = weight * Z (weight 0 = trivial)."""
+class AmalgamCtx(GroupCtx):
+    """Z *_C Z with C generated by a^w0 = b^w1; weights (0, 0) give Z * Z."""
 
-    ctx: FreeProductCtx
     weights: tuple[int, int]
+    gen_names: tuple[str, str] = ("a", "b")
 
-    def decompose(self, side: int, p: int) -> tuple[int, int]:
-        """p = weight * k + r with canonical representative exponent r."""
-        w = self.weights[side]
-        if w == 0:
-            return 0, p
-        r = p % w
-        return (p - r) // w, r
+    def __post_init__(self):
+        w = self.weights
+        if not (type(w) is tuple and len(w) == 2
+                and all(type(x) is int and x >= 0 for x in w)
+                and (w[0] == 0) == (w[1] == 0)):
+            raise InvalidOracleError(
+                f"amalgam weights {w!r} are neither two positive integers nor (0, 0)")
 
-
-def square_amalgam() -> AmalgamOracles:
-    """Z *_C Z with C generated by a^2 = b^2 (the four-ordering group)."""
-    ctx = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
-    return AmalgamOracles(ctx, (2, 2))
-
-
-def free_product_amalgam() -> AmalgamOracles:
-    """Z * Z with trivial amalgamated subgroup."""
-    ctx = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
-    return AmalgamOracles(ctx, (0, 0))
-
-
-@dataclass(frozen=True)
-class AmalgamForm:
-    """core^k times an alternating product of coset representatives."""
-
-    oracles: AmalgamOracles
-    core_exp: int
-    letters: tuple[tuple[int, int], ...]  # (side, representative exponent)
-
-    def factor_length(self) -> int:
-        return len(self.letters)
-
-    def in_factor(self, side: int) -> bool:
-        m = len(self.letters)
-        return m == 0 or (m == 1 and self.letters[0][0] == side)
-
-    def is_identity(self) -> bool:
-        return self.core_exp == 0 and not self.letters
-
-    def to_word(self) -> Word:
-        syls = []
-        if self.core_exp:
-            w0 = self.oracles.weights[0]
-            if w0 == 0:
-                raise InvalidOracleError("trivial core cannot carry a power")
-            syls.append((0, w0 * self.core_exp))
-        off = self.oracles.ctx.offsets
-        syls.extend((off[side], e) for side, e in self.letters)
-        return self.oracles.ctx.word(syls)
+    def _normalize(self, syllables):
+        core, letters = amalgam_normal_form(self, syllables)
+        if not core:
+            return letters
+        # a nonzero core power outweighs a representative, so the merge is nonzero
+        head = self.weights[0] * core
+        if letters and letters[0][0] == 0:
+            head, letters = head + letters[0][1], letters[1:]
+        return ((0, head),) + letters
 
 
-def amalgam_normal_form(w: Word, oracles: AmalgamOracles) -> AmalgamForm:
-    """Push core parts left (the core is central) and merge adjacent letters."""
-    ctx = oracles.ctx
-    if w.ctx != ctx:
-        raise MalformedWordError("word does not belong to the amalgam syntax")
+def amalgam_normal_form(ctx: AmalgamCtx,
+                        syllables: Syllables) -> tuple[int, Syllables]:
+    """(k, letters) with the syllables equal to z^k times the letters.
+
+    Letters are (side, representative exponent) and alternate in side; the
+    generator id is the side.  Core parts are pushed left (the core is
+    central) and adjacent letters of one side merged.
+    """
+    weights = ctx.weights
     core = 0
     stack: list[tuple[int, int]] = []
-    for gid, e in ctx.normalize(w).syllables:
-        side = ctx.factor_of(gid)
+    for side, e in syllables:
         if stack and stack[-1][0] == side:
             e += stack.pop()[1]
-        k, r = oracles.decompose(side, e)
-        weight = oracles.weights[side]
-        if (weight * k + r != e) if weight else (k != 0 or r != e):
-            raise InvalidOracleError(
-                f"side {side} decomposition of {e} returned ({k}, {r})")
-        if weight and not 0 <= r < weight:
-            raise InvalidOracleError(
-                f"representative exponent {r} outside [0, {weight})")
-        core += k
-        if r:
-            stack.append((side, r))
-    return AmalgamForm(oracles, core, tuple(stack))
+        if weights[side]:
+            k, e = divmod(e, weights[side])
+            core += k
+        if e:
+            stack.append((side, e))
+    return core, tuple(stack)
 
 
-def _ball_forms(oracles: AmalgamOracles, r: int) -> list[AmalgamForm]:
-    """The amalgam's B_r: the normal form maps the free product onto it, so
-    the forms of the free product's B_r are exactly its elements."""
-    forms = {amalgam_normal_form(w, oracles) for w in oracles.ctx.ball(r)}
-    return sorted(forms, key=lambda f: f.to_word().shortlex_key())
+def square_amalgam() -> AmalgamCtx:
+    """Z *_C Z with C generated by a^2 = b^2 (the Klein bottle group)."""
+    return AmalgamCtx((2, 2))
+
+
+def free_product_amalgam() -> AmalgamCtx:
+    """Z * Z with trivial amalgamated subgroup."""
+    return AmalgamCtx((0, 0))
+
+
+def in_factor(w: Word, side: int) -> bool:
+    """Whether w lies in the factor <a> (side 0) or <b> (side 1)."""
+    _, letters = amalgam_normal_form(w.ctx, w.ctx.normalize(w).syllables)
+    return not letters or (len(letters) == 1 and letters[0][0] == side)
 
 
 @dataclass(frozen=True)
@@ -112,32 +85,24 @@ class MalnormalityReport:
     factor: int
     witness: tuple[Word, Word] | None = None  # (subgroup element, conjugator)
 
-    def certify(self, oracles: AmalgamOracles) -> bool:
+    def certify(self, ctx: AmalgamCtx) -> bool:
         if self.witness is None:
             return False
-        aa, ww = self.witness
-        ctx = oracles.ctx
+        aa, ww = (ctx.normalize(x) for x in self.witness)
         side = self.factor
-        fa = amalgam_normal_form(aa, oracles)
-        fw = amalgam_normal_form(ww, oracles)
-        conj = amalgam_normal_form(
-            ctx.mul(ctx.mul(ctx.inv(ww), aa), ww), oracles)
-        return (fa.in_factor(side) and not fa.is_identity()
-                and not fw.in_factor(side) and conj.in_factor(side))
+        conj = ctx.mul(ctx.mul(ctx.inv(ww), aa), ww)
+        return (in_factor(aa, side) and not aa.is_identity()
+                and not in_factor(ww, side) and in_factor(conj, side))
 
 
-def malnormality_check(oracles: AmalgamOracles, factor_side: int,
+def malnormality_check(ctx: AmalgamCtx, factor_side: int,
                        r: int) -> MalnormalityReport:
     """Search B_r for a in the factor, w outside it, with w^-1 a w back inside."""
-    ctx = oracles.ctx
-    forms = _ball_forms(oracles, r)
-    members = [f.to_word() for f in forms
-               if f.in_factor(factor_side) and not f.is_identity()]
-    outsiders = [(w, ctx.inv(w)) for w in
-                 (f.to_word() for f in forms if not f.in_factor(factor_side))]
+    ball = ctx.ball_index(r).domain
+    members = [w for w in ball if in_factor(w, factor_side)]
+    outsiders = [(w, ctx.inv(w)) for w in ball if not in_factor(w, factor_side)]
     for aa in members:
         for ww, ww_inv in outsiders:
-            conj = amalgam_normal_form(ctx.mul(ctx.mul(ww_inv, aa), ww), oracles)
-            if conj.in_factor(factor_side):
+            if in_factor(ctx.mul(ctx.mul(ww_inv, aa), ww), factor_side):
                 return MalnormalityReport(False, r, factor_side, (aa, ww))
     return MalnormalityReport(True, r, factor_side)

@@ -214,19 +214,20 @@ def _amalgam_instance(name: str):
 
 
 def _cmd_amalgam_nf(args) -> int:
-    oracles = _amalgam_instance(args.instance)
-    w = _word(oracles.ctx, args.word)
-    form = amalgam_normal_form(w, oracles)
+    ctx = _amalgam_instance(args.instance)
+    # the word is read, and echoed, as spelled in Z * Z
+    w = _word(free_product_amalgam(), args.word)
+    core, letters = amalgam_normal_form(ctx, w.syllables)
     _emit(args, "amalgam-nf", {"instance": args.instance, "word": w.pairs()},
-          {"core_exp": form.core_exp, "letters": to_json(form.letters),
-           "factor_length": form.factor_length(),
-           "canonical_word": form.to_word().pairs()})
+          {"core_exp": core, "letters": to_json(letters),
+           "factor_length": len(letters),
+           "canonical_word": ctx.word(w.syllables).pairs()})
     return 0
 
 
 def _cmd_malnormal(args) -> int:
-    oracles = _amalgam_instance(args.instance)
-    rep = malnormality_check(oracles, args.factor, args.r)
+    ctx = _amalgam_instance(args.instance)
+    rep = malnormality_check(ctx, args.factor, args.r)
     _emit(args, "malnormal",
           {"instance": args.instance, "factor": args.factor, "r": args.r},
           to_json(rep), [] if rep.passed else [to_json(rep.witness)])
@@ -342,12 +343,11 @@ def _cmd_verify_witness(args) -> int:
         ok = bool(found) and all(ConvexityReport(False, 0, w).certify(cone, sub)
                                  for w in found)
     elif command == "malnormal":
-        oracles = _amalgam_instance(config["instance"])
+        ctx = _amalgam_instance(config["instance"])
         side = config["factor"]
-        found = _witness_words(oracles.ctx, doc["witnesses"], 2)
+        found = _witness_words(ctx, doc["witnesses"], 2)
         ok = bool(found) and all(
-            MalnormalityReport(False, 0, side, w).certify(oracles)
-            for w in found)
+            MalnormalityReport(False, 0, side, w).certify(ctx) for w in found)
     else:
         raise LeftOrderError(f"no witness verifier for command {command!r}")
     _emit(args, "verify-witness", {"command": command},

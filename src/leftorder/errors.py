@@ -62,7 +62,7 @@ class InvalidHomError(LeftOrderError):
 
 
 class InvalidOracleError(LeftOrderError):
-    """Amalgam side oracles returned inconsistent data."""
+    """Amalgam weights are neither two positive integers nor (0, 0)."""
 
 
 class OrbitUndecidedError(LeftOrderError):

@@ -11,9 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidSlopeError, PoleError, UnsupportedComparisonError
+from .errors import (
+    InvalidSlopeError, PoleError, ResourceLimitError, UnsupportedComparisonError,
+)
 
 LT, EQ, GT = -1, 0, 1
+
+POWER_BITS_CAP = 1 << 21
 
 
 def _squarefree(d: int) -> tuple[int, int]:
@@ -184,9 +188,24 @@ class Mat2:
         raise ValueError(f"matrix with det {det} is not invertible over Z")
 
     def power(self, k: int) -> "Mat2":
+        """M^k by repeated squaring.
+
+        Entries of M^k are at most n^|k|, n the largest absolute row sum of
+        M (of M^-1 for k < 0).  When M has an eigenvalue off the closed unit
+        disc they grow exponentially, and ResourceLimitError is raised before
+        any work if |k| * bit_length(n) exceeds POWER_BITS_CAP.  Other
+        matrices grow polynomially and are not capped.
+        """
         m = self if k >= 0 else self.inverse()
         out = MAT_IDENTITY
         k = abs(k)
+        t, det = m.a + m.d, m.det()
+        # whether a root of x^2 - t x + det, t and det integers, has modulus > 1
+        if abs(det) > 1 or abs(t) > {1: 2, 0: 1, -1: 0}[det]:
+            n = max(abs(m.a) + abs(m.b), abs(m.c) + abs(m.d))
+            if k * n.bit_length() > POWER_BITS_CAP:
+                raise ResourceLimitError(
+                    f"power {k} of {m.rows()} may pass {POWER_BITS_CAP} bits")
         while k:  # repeated squaring
             if k & 1:
                 out = out @ m

@@ -614,8 +614,8 @@ class SemidirectCtx(GroupCtx):
             if g == self.T:
                 k += e
             elif g in (self.A1, self.A2):
-                if at != k:
-                    m, at = m @ self.matrix.power(k - at), k
+                if at != k:  # A^k itself, so the power cap sees the exponent
+                    m, at = self.matrix.power(k), k
                 dv = m.apply_vec((e, 0) if g == self.A1 else (0, e))
                 v1, v2 = v1 + dv[0], v2 + dv[1]
             else:

@@ -7,9 +7,9 @@ from leftorder.actions import (
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
 from leftorder.cones import (
-    ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, detect_slope,
-    dynamical_cone, lex_cone, quad_slope_cone, restrict_cone,
-    ses_kernel_embedding, slope_cone, z_cone,
+    ConjugateCone, DynamicalCone, Embedding, KernelActionCone, KleinCone,
+    RestrictionCone, detect_slope, dynamical_cone, lex_cone, quad_slope_cone,
+    restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.errors import OrbitUndecidedError
 from leftorder.serialize import cone_from_dict, cone_to_dict
@@ -171,6 +171,29 @@ def test_cone_equal_distinct_slopes_have_witness():
     assert res.verdict == "distinct" and res.witness is not None
     c1, c2 = slope_cone((5, 4), "++"), slope_cone((4, 3), "++")
     assert c1.sign(res.witness) != c2.sign(res.witness)
+
+
+def test_cone_equal_exact_on_equal_dynamical_descriptors():
+    c = dynamical_cone()
+    a = c.ctx.gens()[0]
+    assert cone_equal(c, dynamical_cone(), "exact").verdict == "equal"
+    back = conj_cone(conj_cone(c, a), c.ctx.inv(a))
+    assert back == c
+    assert cone_equal(back, c, "exact").verdict == "equal"
+    # distinct basepoints may give the same order: no verdict
+    res = cone_equal(c, conj_cone(c, a), "exact")
+    assert (res.verdict, res.radius) == ("unknown", 0)
+
+
+def test_cone_equal_exact_keeps_opaque_restrictions_unknown():
+    # the two embeddings compare equal but map u differently
+    c = dynamical_cone()
+    a, b = c.ctx.gens()
+    u = ZPowCtx(1, ("u",))
+    to_a = RestrictionCone(c, Embedding(u, c.ctx, lambda w: a ** u.vector(w)[0]))
+    to_b = RestrictionCone(c, Embedding(u, c.ctx, lambda w: b ** u.vector(w)[0]))
+    assert to_a == to_b
+    assert cone_equal(to_a, to_b, "exact").verdict == "unknown"
 
 
 def test_cone_equal_ball_strategy_on_dynamical():

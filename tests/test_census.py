@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from leftorder.amalgam import free_product_amalgam, square_amalgam
 from leftorder.census import (
     BallCone, _Search, census_digest, enumerate_ball_cones,
     extendable_filter, restriction_ball_cone,
@@ -34,6 +35,34 @@ def test_klein_r2_contains_the_four_restrictions():
     cones = enumerate_ball_cones(KLEIN, 2)
     for kc in klein_cones(KLEIN):
         assert restriction_ball_cone(kc.sign, KLEIN, 2) in cones
+
+
+@pytest.mark.parametrize("r,count", [(1, 4), (2, 16)])
+def test_free_product_amalgam_census_is_f2_census(r, count):
+    # Z * Z on a, b is F2: same ball in the same order, same assignments
+    digest = census_digest(enumerate_ball_cones(free_product_amalgam(), r))
+    assert digest == census_digest(enumerate_ball_cones(F2, r))
+    assert digest["count"] == count
+
+
+def test_square_amalgam_census_r2_is_the_four_klein_orders():
+    # a -> x, b -> xy carries <a, b | a^2 = b^2> onto the Klein bottle group,
+    # since (xy)^2 = x^2; its B_2 already pins the four orders down
+    sq = square_amalgam()
+    x, y = KLEIN.gens()
+    image = {0: x, 1: KLEIN.mul(x, y)}
+
+    def to_klein(w):
+        out = KLEIN.identity()
+        for g, e in w.syllables:
+            out = KLEIN.mul(out, image[g] ** e)
+        return out
+
+    cones = enumerate_ball_cones(sq, 2)
+    domain = cones[0].domain
+    pulled = {tuple(kc.sign(to_klein(w)) for w in domain)
+              for kc in klein_cones(KLEIN)}
+    assert len(cones) == 4 and {c.signs for c in cones} == pulled
 
 
 def test_klein_census_r4_extend_8():
@@ -120,7 +149,8 @@ def test_non_symmetric_generators_rejected():
     (SemidirectCtx(Mat2(2, 1, 1, 1)), None),
     (DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2))), None),
     (FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))), None),
-], ids=["z2", "z2-box", "klein", "f2", "sol", "zxf2", "zz-free"])
+    (square_amalgam(), None),
+], ids=["z2", "z2-box", "klein", "f2", "sol", "zxf2", "zz-free", "square-amalgam"])
 def test_ball_index_matches_word_products(ctx, gens):
     index = ctx.ball_index(2, gens)
     domain = index.domain

@@ -171,6 +171,46 @@ def test_malnormal_commands(capsys):
     assert doc["witnesses"] == [[[["a", 2]], [["b", 1]]]]
 
 
+@pytest.mark.parametrize("argv,code,sha256", [
+    (("--instance", "free", "--r", "5"), 0,
+     "475df63c877d0d28147ff7fce326689b5110367e77d08e6726f2426af0243bcb"),
+    (("--instance", "square", "--r", "6"), 1,
+     "b6fd7b02a000fd7d53a94791d84e8d9374baf0c7def2be1390c78227dc897a35"),
+    (("--instance", "square", "--factor", "1", "--r", "5"), 1,
+     "fba00ee34af2a912073c89264cd54b8c1f6cac903e134be927ce16aea8bcbe20"),
+], ids=["free-r5", "square-r6", "square-factor1-r5"])
+def test_malnormal_bytes_pinned(capsys, argv, code, sha256):
+    assert main(["malnormal", *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+SOL_LEX_ARGS = ("lex", "--ses", "sol",
+                "--kernel", '{"kind":"slope","a":[1,0],"variant":"++"}',
+                "--quotient", '{"kind":"zsign","sign":1}')
+
+
+def test_lex_semidirect_power_under_cap_bytes_pinned(capsys):
+    # t^N with N = 10^6 needs A^N, whose entries have about 1.4 million bits
+    code = main([*SOL_LEX_ARGS, "--word", "t^1000000 a t^-1000000"])
+    out = capsys.readouterr().out
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "6395961d3045f47e342f29a55537314108f501bb1ce4cdc4d38c663afa40180d")
+
+
+@pytest.mark.parametrize("word", [
+    "t^1000000000000 a t^-1000000000000",
+    "t^-1000000000000 b",
+])
+def test_lex_semidirect_power_over_cap_exits_2(capsys, word):
+    t0 = time.monotonic()
+    code = main([*SOL_LEX_ARGS, "--word", word])
+    elapsed = time.monotonic() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1
+    assert err.startswith("error: power") and "Traceback" not in err
+
+
 def test_census_command(capsys):
     code, doc = run(capsys, "census", "--group", "klein", "--r", "2")
     assert code == 0

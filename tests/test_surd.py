@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from leftorder.surd import (
-    EQ, GT, LT, Mat2, QuadNum, mat2, mobius_apply, primitive_vec, quad,
-    quad_cmp, rational, sqrt_of,
+    EQ, GT, LT, MAT_IDENTITY, POWER_BITS_CAP, Mat2, QuadNum, mat2,
+    mobius_apply, primitive_vec, quad, quad_cmp, rational, sqrt_of,
 )
-from leftorder.errors import PoleError, UnsupportedComparisonError
+from leftorder.errors import (
+    PoleError, ResourceLimitError, UnsupportedComparisonError,
+)
 
 getcontext().prec = 50
 
@@ -174,3 +176,40 @@ def test_primitive_vec():
     assert primitive_vec((4, -6)) == (2, -3)
     assert primitive_vec((-2, 3)) == (2, -3)
     assert primitive_vec((0, -5)) == (0, 1)
+
+
+# -- matrix powers -------------------------------------------------------------
+
+def test_power_cap_edges():
+    # trace 3 and det 1, so A^k grows like [[2, 1], [1, 1]]^k, but with row
+    # sums near n^2 the bound is loose and the largest allowed power is cheap;
+    # 64-bit row sums put the largest allowed k exactly on the cap
+    n = 3 * 2 ** 30
+    m = Mat2(-n, n * n + 3 * n + 1, -1, n + 3)
+    for base, sign in ((m, 1), (m.inverse(), -1)):
+        bits = max(abs(base.a) + abs(base.b), abs(base.c) + abs(base.d)).bit_length()
+        k = POWER_BITS_CAP // bits
+        assert k * bits == POWER_BITS_CAP
+        assert m.power(sign * k) @ m.power(-sign * k) == MAT_IDENTITY
+        assert m.power(sign * k) == m.power(sign * (k - 1)) @ m.power(sign)
+        with pytest.raises(ResourceLimitError):
+            m.power(sign * (k + 1))
+
+
+def test_power_cap_on_the_sol_matrix():
+    sol = Mat2(2, 1, 1, 1)
+    for k in (POWER_BITS_CAP // 2 + 1, -(POWER_BITS_CAP // 2 + 1), 10 ** 12):
+        with pytest.raises(ResourceLimitError):
+            sol.power(k)
+    # det -1 with a nonzero trace grows exponentially too
+    with pytest.raises(ResourceLimitError):
+        Mat2(1, 1, 1, 0).power(10 ** 7)
+
+
+def test_power_uncapped_below_exponential_growth():
+    big = 10 ** 18
+    assert Mat2(1, 2, 0, 1).power(big) == Mat2(1, 2 * big, 0, 1)
+    assert Mat2(-1, 3, 0, -1).power(-big) == Mat2(1, 3 * big, 0, 1)
+    assert Mat2(0, -1, 1, 0).power(big + 1) == Mat2(0, -1, 1, 0)   # order 4
+    assert Mat2(0, 1, 1, 0).power(big + 1) == Mat2(0, 1, 1, 0)     # det -1, order 2
+    assert Mat2(1, 0, 0, 0).power(big) == Mat2(1, 0, 0, 0)

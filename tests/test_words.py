@@ -7,12 +7,13 @@ import weakref
 
 import pytest
 
+from leftorder.amalgam import square_amalgam
 from leftorder.errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
     ResourceLimitError,
 )
 from leftorder.cones import dynamical_cone, slope_cone
-from leftorder.surd import Mat2
+from leftorder.surd import POWER_BITS_CAP, Mat2
 from leftorder.words import (
     DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
     SemidirectCtx, Word, ZPowCtx, direct_product_ses, semidirect_ses,
@@ -347,6 +348,19 @@ def test_semidirect_state_matches_letter_products():
     assert SOL.word(syls).syllables == SOL._normalize(tuple(syls))
 
 
+def test_semidirect_power_cap_sees_the_exponent_reached():
+    # A is conjugate to [[2, 1], [1, 1]] with row sums near n^2, so the power
+    # cap is met at a cheap exponent; each t-step below stays under it
+    n = 2 ** 50
+    ctx = SemidirectCtx(Mat2(-n, n * n + 3 * n + 1, -1, n + 3))
+    bits = (n * n + 4 * n + 4).bit_length()
+    half = POWER_BITS_CAP // bits // 2 + 1
+    step = (ctx.T, half), (ctx.A1, 1)
+    ctx.word(step + ((ctx.T, -half), (ctx.A2, 1)) + step)
+    with pytest.raises(ResourceLimitError):
+        ctx.word(step + step)
+
+
 # -- multiplication, inversion, conjugation -----------------------------------
 
 def test_free_mul_example():
@@ -523,11 +537,11 @@ BOX = tuple(Z2.box_generators())
     *[(FreeCtx(3), r, None) for r in range(4)],
     (ZPowCtx(1), 5, None), (Z2, 4, None), (Z2, 2, BOX), (KLEIN, 4, None),
     (SOL, 2, None), (ZXF2, 2, None), (ZXZ, 3, None),
-    (F2, 3, tuple(F2.ball_generators())),
+    (F2, 3, tuple(F2.ball_generators())), (square_amalgam(), 4, None),
 ], ids=[*[f"f1-r{r}" for r in range(6)], *[f"f2-r{r}" for r in range(6)],
         *[f"f3-r{r}" for r in range(4)],
         "z-r5", "z2-r4", "z2-box-r2", "klein-r4", "sol-r2", "zxf2-r2", "zz-free-r3",
-        "f2-r3-gens"])
+        "f2-r3-gens", "square-amalgam-r4"])
 def test_ball_products_match_pair_loop(ctx, r, gens):
     # the list compares both the triple set and the ascending (u, v) order
     assert list(ctx.ball_products(r, gens)) == _pair_loop_products(ctx, r, gens)
