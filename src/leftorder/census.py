@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
 from .words import GroupCtx, Word
@@ -34,10 +34,24 @@ class BallCone:
     ctx: GroupCtx
     radius: int
     domain: tuple[Word, ...]          # shortlex order, identity excluded
-    signs: tuple[int, ...]            # aligned with domain
+    signs: tuple[int, ...]            # aligned with domain, each +1 or -1
+    # serial items of the domain, ``_serial_items(domain)``; the cones of one
+    # search share them, so each item is built and written once per run
+    items: tuple | None = field(default=None, compare=False, repr=False)
 
     def serial(self) -> list:
-        return [[w.pairs(), s] for w, s in zip(self.domain, self.signs)]
+        """``[[pairs, sign], ...]``; the items are shared, not to be mutated."""
+        items = self.items or _serial_items(self.domain)
+        return [item[s < 0] for item, s in zip(items, self.signs)]
+
+
+def _serial_items(domain: tuple[Word, ...]) -> tuple:
+    """Per domain word, its serial items ``([pairs, 1], [pairs, -1])``."""
+    out = []
+    for w in domain:
+        pairs = w.pairs()
+        out.append(([pairs, 1], [pairs, -1]))
+    return tuple(out)
 
 
 class _Search:
@@ -149,7 +163,9 @@ def enumerate_ball_cones(ctx: GroupCtx, r: int, gens=None,
     found: list[tuple[int, ...]] = []
     search.run(collect=found)
     found.sort(key=lambda signs: tuple(0 if s == 1 else 1 for s in signs))
-    return [BallCone(ctx, r, search.index.domain, signs) for signs in found]
+    domain = search.index.domain
+    items = _serial_items(domain)
+    return [BallCone(ctx, r, domain, signs, items) for signs in found]
 
 
 def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
@@ -177,9 +193,22 @@ def extendable_filter(cones: list[BallCone], target_radius: int, gens=None,
 
 
 def census_digest(cones: list[BallCone]) -> dict:
-    """Count plus a hash of the canonical serialization, for regression pinning."""
-    payload = json.dumps([c.serial() for c in cones], sort_keys=True,
-                         separators=(",", ":"))
+    """Count plus a hash of the canonical serialization, for regression pinning.
+
+    The payload is ``json.dumps`` of every cone's ``serial()`` with compact
+    separators; an item shared by many cones is encoded once.
+    """
+    serials = [c.serial() for c in cones]   # kept alive, so ids stay unique
+    text: dict[int, str] = {}
+
+    def item(x) -> str:
+        t = text.get(id(x))
+        if t is None:
+            t = text[id(x)] = json.dumps(x, separators=(",", ":"))
+        return t
+
+    payload = "[" + ",".join("[" + ",".join(map(item, s)) + "]"
+                             for s in serials) + "]"
     return {"count": len(cones),
             "sha256": hashlib.sha256(payload.encode()).hexdigest()}
 

@@ -33,8 +33,8 @@ from .freeprod import (
     normal_closure_criterion,
 )
 from .serialize import (
-    cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict, to_json,
-    word_from_pairs,
+    cone_from_dict, cone_to_dict, ctx_from_dict, dumps, ses_from_dict,
+    to_json, word_from_pairs,
 )
 from .words import FreeCtx, FreeProductCtx, GroupCtx, KleinCtx, ZPowCtx
 
@@ -83,7 +83,7 @@ def _cone(args):
 def _emit(args, command: str, config: dict, result: dict, witnesses=()) -> None:
     doc = {"command": command, "config": config, "result": result,
            "witnesses": list(witnesses)}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = dumps(doc) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -345,6 +345,8 @@ def _cmd_verify_witness(args) -> int:
     elif command == "malnormal":
         ctx = _amalgam_instance(config["instance"])
         side = config["factor"]
+        if type(side) is not int or side not in (0, 1):
+            raise LeftOrderError(f"config factor {side!r} is not 0 or 1")
         found = _witness_words(ctx, doc["witnesses"], 2)
         ok = bool(found) and all(
             MalnormalityReport(False, 0, side, w).certify(ctx) for w in found)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -262,3 +264,30 @@ def test_survivor_digest_pinned(ctx, r, target, gens, count, sha256):
 def test_enumeration_digest_pinned(ctx, r, count, sha256):
     assert census_digest(enumerate_ball_cones(ctx, r)) == {
         "count": count, "sha256": sha256}
+
+
+def test_cones_of_one_search_share_serial_items():
+    cones = enumerate_ball_cones(Z2, 3)
+    first = cones[0].serial()
+    for c in cones:
+        serial = c.serial()
+        assert serial == [[w.pairs(), s] for w, s in zip(c.domain, c.signs)]
+        assert serial == BallCone(c.ctx, c.radius, c.domain, c.signs).serial()
+        for x, y in zip(serial, first):
+            assert (x is y) == (x[1] == y[1])
+
+
+@pytest.mark.parametrize("cones", [
+    enumerate_ball_cones(Z2, 3),
+    extendable_filter(enumerate_ball_cones(KLEIN, 2), 4),
+    [BallCone(c.ctx, c.radius, c.domain, c.signs)
+     for c in enumerate_ball_cones(F2, 1)],
+    [restriction_ball_cone(z_cone(ctx=Z1).sign, Z1, 0)],
+    [],
+], ids=["z2-r3", "klein-survivors", "unshared", "empty-domain", "none"])
+def test_census_digest_hashes_the_compact_serials(cones):
+    payload = json.dumps([c.serial() for c in cones], sort_keys=True,
+                         separators=(",", ":"))
+    assert census_digest(cones) == {
+        "count": len(cones),
+        "sha256": hashlib.sha256(payload.encode()).hexdigest()}

@@ -190,6 +190,30 @@ SOL_LEX_ARGS = ("lex", "--ses", "sol",
                 "--quotient", '{"kind":"zsign","sign":1}')
 
 
+SOL_LEX_CONE = ('{"kind":"lex","ses":"sol",'
+                '"kernel":{"kind":"slope","a":[1,0],"variant":"++"},'
+                '"quotient":{"kind":"zsign","sign":1}}')
+
+
+# whole stdout of the largest emits; equal to the perfbench pins of these jobs
+@pytest.mark.parametrize("argv,sha256", [
+    (("census", "--group", "z2", "--r", "8"),
+     "ae1cc742656adcc4ac6bd13c6551716d6702887e5f5c06a8bb6c5339c2305939"),
+    (("census", "--group", "z2", "--r", "3", "--ball", "box"),
+     "0b65074433f898754c063bca17b4e0844b63ef0e64c8e277b5aeae8f496684db"),
+    (("census", "--group", "klein", "--r", "4", "--extend", "8"),
+     "285fa03c7d62ea57e51c485198b8d50935fb4d7abff41d5c538ff831a84e149f"),
+    (("orbit", "--cone", SOL_LEX_CONE, "--conjugators", "t,a",
+      "--max-size", "64"),
+     "d98b943de06f151ecb17b5c39cb2bb37e4d429053b84238327fb3c7bd8a78899"),
+], ids=["census-z2-r8", "census-z2-box-r3", "census-klein-r4-extend-8",
+        "orbit-sol-lex"])
+def test_emit_bytes_pinned(capsys, argv, sha256):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_lex_semidirect_power_under_cap_bytes_pinned(capsys):
     # t^N with N = 10^6 needs A^N, whose entries have about 1.4 million bits
     code = main([*SOL_LEX_ARGS, "--word", "t^1000000 a t^-1000000"])
@@ -385,6 +409,18 @@ def test_verify_witness_mistyped_exponent_exits_2(capsys, tmp_path):
     doc["witnesses"] = [[[["a", "x"]], [["b", 1]]]]
     code, out = _verify(capsys, tmp_path, doc)
     assert code == 2 and out is None
+
+
+@pytest.mark.parametrize("factor", ["x", 5, None, True, False, -1, 1.0])
+def test_verify_witness_malnormal_bad_factor_exits_2(capsys, tmp_path, factor):
+    code, doc = run(capsys, "malnormal", "--instance", "square", "--r", "3")
+    assert code == 1
+    doc["config"]["factor"] = factor
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify-witness", "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: config factor")
 
 
 def test_traced_benchmark_job_runs():

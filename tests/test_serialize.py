@@ -24,7 +24,7 @@ from leftorder.conrad import (
 )
 from leftorder.errors import LeftOrderError
 from leftorder.freeprod import basis_word, normal_closure_criterion
-from leftorder.serialize import cone_to_dict, ses_from_dict, to_json
+from leftorder.serialize import cone_to_dict, dumps, ses_from_dict, to_json
 from leftorder.surd import rational, sqrt_of
 from leftorder.words import FreeProductCtx, KleinCtx, ZPowCtx
 
@@ -373,3 +373,85 @@ def test_fuzz_malformed_descriptors_never_crash(capsys, monkeypatch):
             assert code in (0, 1, 2) and "Traceback" not in err, (command, argv)
             runs += 1
     assert runs == 6000
+
+
+# -- the indented writer ---------------------------------------------------------
+
+_ALPHABET = ['a', 'b', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\x00', '\x1f',
+             '\x7f', 'é', 'ß', '\u2028', '𝔽', '[', '{', ',', ':', ']', '}']
+
+
+def _text(rng):
+    return "".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(6)))
+
+
+def _scalar(rng):
+    return rng.choice([
+        lambda: _text(rng), lambda: rng.randint(-10 ** 30, 10 ** 30),
+        lambda: rng.randint(-3, 3), lambda: True, lambda: False, lambda: None])()
+
+
+def _document(rng, depth, pool):
+    """A random document; ``pool`` collects containers that later nodes reuse."""
+    roll = rng.random()
+    if pool and roll < 0.2:
+        return rng.choice(pool)
+    if depth == 0 or roll < 0.4:
+        return _scalar(rng)
+    n = rng.randrange(5)   # 0 gives the empty container
+    kind = rng.choice([list, tuple, dict])
+    if kind is dict:
+        out = {_text(rng): _document(rng, depth - 1, pool) for _ in range(n)}
+    else:
+        out = kind(_document(rng, depth - 1, pool) for _ in range(n))
+    pool.append(out)
+    return out
+
+
+def test_dumps_equals_json_on_random_documents():
+    rng = random.Random(1213)
+    for _ in range(400):
+        doc = _document(rng, rng.randrange(1, 6), [])
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_a_shared_object_at_each_of_its_depths():
+    item = [[["e1", 1], ["e2", -2]], -1]
+    empty, table = [], {"b": 1, "a": [None]}
+    doc = {"z": [item] * 50, "y": [[item, empty], {"k": item}], "x": item,
+           "w": (table, [table, (table,)]), "v": [empty, empty]}
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_scalar_keys_and_strings_as_json_writes_them():
+    doc = {"b": 1, "a": 2, "B": {"é": "\"\\\x01𝔽", "[{,:": ""},
+           "": [10 ** 30, -10 ** 30, True, False, None, (), {}, [[]]]}
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    for doc in ({2: "x", 1: "y"}, {True: 1}, {None: 0}, "s", 7, None):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, object(), [1, {"a": frozenset()}],
+                                 {(1, 2): 3}])
+def test_dumps_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps(doc)
+
+
+@pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: (x,),
+                                  lambda x: {"k": x}],
+                         ids=["list", "tuple", "dict"])
+def test_dumps_nests_as_deep_as_json(wrap):
+    doc = 1
+    for _ in range(800):
+        doc = wrap(doc)
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_rejects_a_cycle():
+    loop: list = [1]
+    loop.append({"again": [loop]})
+    with pytest.raises(ValueError):
+        dumps(loop)
