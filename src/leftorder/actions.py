@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatchError, OrbitUndecidedError, PoleError
+from .errors import ContextMismatchError, OrbitUndecidedError
 from .cones import (
     Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
     QuadSlopeCone, RestrictionCone, SlopeCone, ZSignCone, detect_slope,
     restrict_cone, slope_cone,
 )
-from .surd import MAT_IDENTITY, mobius_apply
+from .surd import quad
 from .words import DirectProductCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx
 
 
@@ -42,14 +42,8 @@ def conj_cone(c: Cone, g: Word) -> Cone:
     if isinstance(c, DynamicalCone):
         # L(g^-1 w g) moves (x, 0) as L(w) moves L(g) (x, 0); lifts commute
         # with deck shifts, so only the projective point g x matters
-        m = MAT_IDENTITY
-        for i, e in g.syllables:
-            m = m @ c.images[i].power(e)
-        try:
-            return DynamicalCone(ctx, c.images,
-                                 tuple(mobius_apply(m, x) for x in c.basepoints))
-        except PoleError:  # a rational basepoint sent to infinity
-            pass
+        return DynamicalCone(ctx, c.images, tuple(
+            quad(*t) for t, _ in c._points(c._element(g))))
     return ConjugateCone(c, g)
 
 
@@ -281,12 +275,11 @@ class RestrictedSample:
 
 
 def restricted_orbit_sample(c: Cone, embedding, conjugators, k: int,
-                            verify_radius: int = 4,
                             detect_radius: int = 8) -> list[RestrictedSample]:
     """Distinct restrictions of conjugates of c along words over the conjugators.
 
     Each restriction that simplifies to a classified descriptor is verified
-    against the unsimplified oracle on B_verify_radius before its slope is
+    against the unsimplified oracle on B_4 before its slope is
     reported; deduplication uses the exact slope and variant when available,
     otherwise the scanned sector.
     """
@@ -299,7 +292,7 @@ def restricted_orbit_sample(c: Cone, embedding, conjugators, k: int,
         simp = rc.simplified()
         verified = True
         if simp is not rc and simp != rc:
-            verified = _first_ball_difference(rc, simp, verify_radius) is None
+            verified = _first_ball_difference(rc, simp, 4) is None
         target = simp if verified else rc
         det = detect_slope(target, detect_radius)
         if det.exact:

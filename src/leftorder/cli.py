@@ -259,13 +259,13 @@ def _cmd_census(args) -> int:
 def _cmd_verify_identities(args) -> int:
     ctx = NAMED_GROUPS["zz-free"]()
     gf, hf = ctx.factors
-    rng = random.Random(args.seed)
+    rng, m = random.Random(args.seed), args.max_exp
     failures = []
     for trial in range(args.count):
-        i = rng.choice([k for k in range(-args.max_exp, args.max_exp + 1) if k])
-        j = rng.choice([k for k in range(-args.max_exp, args.max_exp + 1) if k])
-        a_exp = rng.randint(-args.max_exp, args.max_exp)
-        b_exp = rng.randint(-args.max_exp, args.max_exp)
+        # nonzero in [-m, m] by one _randbelow(2 m) each, the stream of
+        # rng.choice over that list, without building the list
+        i, j = (k + (k >= 0) for k in (rng.randrange(-m, m), rng.randrange(-m, m)))
+        a_exp, b_exp = rng.randint(-m, m), rng.randint(-m, m)
         label = (gf.word([("a", i)]), hf.word([("b", j)]))
         for by_pairs in ((("a", a_exp),), (("b", b_exp),),
                          (("a", a_exp), ("b", b_exp))):

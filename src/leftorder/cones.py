@@ -16,10 +16,11 @@ from math import gcd
 
 from .errors import (
     InsufficientBasepointsError, InvalidConeError, InvalidEmbeddingError,
-    InvalidSlopeError, NoSignError, WrongConstructorError,
+    InvalidSlopeError, NoSignError, ResourceLimitError, WrongConstructorError,
 )
 from .surd import (
-    Mat2, QuadNum, cmp_triples, mat2, mobius_cover, primitive_vec, sqrt_of,
+    LIFT_BITS_CAP, MAT_IDENTITY, Mat2, QuadNum, cmp_triples, mat2, mobius_cover,
+    primitive_vec, repeated_squaring, sqrt_of,
 )
 from .words import (
     FreeCtx, GroupCtx, KleinCtx, ShortExactSeq, Word, ZPowCtx,
@@ -245,30 +246,25 @@ class _Lifted:
 _BASE0 = (0, 1, 1, 2)  # sqrt(2); irrational, so it never meets a rational pole
 
 
-def _lift_of_matrix(mat, delta=0) -> _Lifted:
+def _lift_of_matrix(mat: Mat2, delta=0) -> _Lifted:
     return _Lifted(mat, delta, *mobius_cover(mat, _BASE0))
 
 
 def _lift_identity() -> _Lifted:
-    return _lift_of_matrix((1, 0, 0, 1))
+    return _lift_of_matrix(MAT_IDENTITY)
 
 
 def _lift_compose(e1: _Lifted, e2: _Lifted) -> _Lifted:
     """Element acting as e1 after e2."""
-    m1, m2 = e1.mat, e2.mat
-    a, b, c, d = m1
-    e, f, g, h = m2
-    m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    m = e1.mat @ e2.mat
     # the product sends the base point where e1 sends e2's image of it
-    img0, sheet = mobius_cover(m1, e2.img0, e2.cross0 + e2.delta + e1.delta)
+    img0, sheet = mobius_cover(e1.mat, e2.img0, e2.cross0 + e2.delta + e1.delta)
     cross0 = mobius_cover(m, _BASE0)[1]
     return _Lifted(m, sheet - cross0, img0, cross0)
 
 
 def _lift_inverse(e: _Lifted) -> _Lifted:
-    a, b, c, d = e.mat
-    det = a * d - b * c
-    minv = (d, -b, -c, a) if det == 1 else (-d, b, c, -a)
+    minv = e.mat.inverse()
     # delta' solves (minv, delta') (m, delta) = identity: the inverse sends
     # e's image of the base point back to sheet 0
     sheet = mobius_cover(minv, e.img0, e.cross0 + e.delta)[1]
@@ -287,11 +283,12 @@ def _cmp_points(pt1, pt2) -> int:
 class DynamicalCone(Cone):
     """Order on a free group from an exact Mobius action on basepoints.
 
-    Generator images must be orientation-preserving (det +1); the action is
-    lifted to the ordered universal cover of the circle so that pole
-    crossings are counted exactly, and a word is positive when the first
-    basepoint it moves goes up in the cover.  The memo cache only stores
-    write-once derived values, so shared reads are harmless.
+    Generator images must be orientation-preserving (det +1), and basepoints
+    irrational: an irrational point is never the rational pole of an integer
+    matrix.  The action is lifted to the ordered universal cover of the circle
+    so that pole crossings are counted exactly, and a word is positive when
+    the first basepoint it moves goes up in the cover.  The memo cache only
+    stores write-once derived values, so shared reads are harmless.
     """
 
     ctx: FreeCtx
@@ -305,6 +302,8 @@ class DynamicalCone(Cone):
         for m in self.images:
             if m.det() != 1:
                 raise InvalidConeError("generator images must have det +1")
+        if any(x.is_rational() for x in self.basepoints):
+            raise InvalidConeError("dynamical basepoints must be irrational surds")
         self._memo["base"] = tuple(((x.p, x.q, x.r, x.d), 0)
                                    for x in self.basepoints)
 
@@ -313,24 +312,22 @@ class DynamicalCone(Cone):
         if lifted is None:
             lifted = {}
             for i, m in enumerate(self.images):
-                e = _lift_of_matrix((m.a, m.b, m.c, m.d))
+                e = _lift_of_matrix(m)
                 lifted[(i, 1)] = e
                 lifted[(i, -1)] = _lift_inverse(e)
             self._memo["letters"] = lifted
         return lifted
 
     def _power(self, g: int, e: int) -> _Lifted:
-        """Lift of g^e by repeated squaring of the lifted letter, memoized
-        under the one-syllable word ``((g, e),)``."""
+        """Lift of g^e by repeated squaring of the lifted letter, refused past
+        ``LIFT_BITS_CAP`` bits and memoized under the word ``((g, e),)``."""
         memo, key = self._memo, ((g, e),)
         out = memo.get(key)
         if out is None:
-            letter = out = self._letters()[(g, 1 if e > 0 else -1)]
-            for bit in bin(abs(e))[3:]:
-                out = _lift_compose(out, out)
-                if bit == "1":
-                    out = _lift_compose(out, letter)
-            memo[key] = out
+            letter = self._letters()[(g, 1 if e > 0 else -1)]
+            letter.mat.check_growth(abs(e), LIFT_BITS_CAP)
+            out = memo[key] = repeated_squaring(letter, abs(e), _lift_compose,
+                                                _lift_identity())
         return out
 
     def _element(self, w: Word) -> _Lifted:
@@ -344,7 +341,12 @@ class DynamicalCone(Cone):
         if out is None:
             out = self._power(*key[0]) if key else _lift_identity()
         for key in reversed(peeled):
-            out = memo[key] = _lift_compose(out, self._power(*key[-1]))
+            out = _lift_compose(out, self._power(*key[-1]))
+            # both factors were under the cap, so the work past it is one product
+            if max(map(abs, out.mat)).bit_length() > LIFT_BITS_CAP:
+                raise ResourceLimitError(
+                    f"a lift of {len(key)} syllables passes {LIFT_BITS_CAP} bits")
+            memo[key] = out
         return out
 
     def _points(self, el: _Lifted):
@@ -468,8 +470,8 @@ class Embedding:
     apply: "callable" = field(compare=False)
     tag: tuple = ()
 
-    def spot_check(self, r: int = 2) -> None:
-        ball = self.sub.ball(r)
+    def spot_check(self) -> None:
+        ball = self.sub.ball(2)
         for u in ball:
             iu = self.apply(u)
             if u.is_identity() != iu.is_identity():
@@ -526,10 +528,10 @@ class RestrictionCone(Cone):
         return self
 
 
-def restrict_cone(c: Cone, embedding: Embedding, check_radius: int = 2) -> RestrictionCone:
+def restrict_cone(c: Cone, embedding: Embedding) -> RestrictionCone:
     if embedding.amb != c.ctx:
         raise InvalidEmbeddingError("embedding target differs from the cone context")
-    embedding.spot_check(check_radius)
+    embedding.spot_check()
     return RestrictionCone(c, embedding)
 
 

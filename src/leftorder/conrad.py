@@ -15,13 +15,13 @@ from .errors import InvalidHomError
 from .words import GroupCtx, Word, ZPowCtx
 
 
-def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64):
+def cyclic_subgroup(ctx: GroupCtx, w: Word):
     """Membership predicate of <w>.
 
     On Z^n membership is exact: u is in <w> iff its vector is an integer
-    multiple of w's.  Other families decide against the |k| <= power_bound
-    powers; the bound must dominate the ball radius the predicate will be
-    scanned over, and the default covers every desk-scale radius used here.
+    multiple of w's.  Other families decide against the |k| <= 64 powers;
+    the bound must dominate the ball radius the predicate will be scanned
+    over, and it covers every desk-scale radius used here.
     """
     w = ctx.normalize(w)
     if isinstance(ctx, ZPowCtx):
@@ -36,7 +36,7 @@ def cyclic_subgroup(ctx: GroupCtx, w: Word, power_bound: int = 64):
     powers = {ctx.identity()}
     p = ctx.identity()
     q = ctx.identity()
-    for _ in range(power_bound):
+    for _ in range(64):
         p = ctx.mul(p, w)
         q = ctx.mul(q, ctx.inv(w))
         powers.add(p)
@@ -153,18 +153,18 @@ class OrderHomReport:
     witness: tuple[Word, Word] | None = None
 
 
-def order_hom_check(c: Cone, phi, r: int, spot_pairs: int = 4000) -> OrderHomReport:
+def order_hom_check(c: Cone, phi, r: int) -> OrderHomReport:
     """Check g < h implies phi(g) <= phi(h) on B_r for an integer-valued hom.
 
-    phi is spot-checked for additivity on ball pairs first; a witness is a
-    positive comparison the claimed order-preserving map reverses.
+    phi is spot-checked for additivity on at most 4000 ball pairs first; a
+    witness is a positive comparison the claimed order-preserving map reverses.
     """
     ctx = c.ctx
     ball = ctx.ball(r)
     pairs = [(u, v) for u in ball for v in ball]
-    if len(pairs) > spot_pairs:
+    if len(pairs) > 4000:
         rng = Random(0)
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(spot_pairs)]
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(4000)]
     for u, v in pairs:
         if phi(ctx.mul(u, v)) != phi(u) + phi(v):
             raise InvalidHomError(f"phi is not additive at {u!r}, {v!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     InvalidSlopeError, PoleError, ResourceLimitError, UnsupportedComparisonError,
@@ -17,7 +18,22 @@ from .errors import (
 
 LT, EQ, GT = -1, 0, 1
 
+# Fixed bit caps of Mat2.check_growth: POWER_BITS_CAP for a matrix power, and
+# the lower LIFT_BITS_CAP for a dynamical cone's lift g^e, whose products also
+# carry an exact surd point and gcd-reduce it.  Each admits powers that take
+# about a second as a whole CLI process.
 POWER_BITS_CAP = 1 << 21
+LIFT_BITS_CAP = 1 << 17
+
+
+def repeated_squaring(x, k: int, mul, one):
+    """x^k, k >= 0, under ``mul`` with identity ``one``, reading k's bits from the top."""
+    out = mul(one, x) if k else one
+    for bit in bin(k)[3:]:  # each product that is not a squaring has x as a factor
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
 
 
 def _squarefree(d: int) -> tuple[int, int]:
@@ -161,9 +177,8 @@ def quad_cmp(x: QuadNum, y: QuadNum) -> int:
     return cmp_triples((x.p, x.q, x.r, d), (y.p, y.q, y.r, d))
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Integer 2x2 matrix, row-major; group usage requires det = +-1."""
+class Mat2(NamedTuple):
+    """Integer 2x2 matrix, the row-major tuple (a, b, c, d); groups need det = +-1."""
 
     a: int
     b: int
@@ -174,10 +189,9 @@ class Mat2:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        a, b, c, d = self
+        e, f, g, h = other
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "Mat2":
         det = self.det()
@@ -187,32 +201,28 @@ class Mat2:
             return Mat2(-self.d, self.b, self.c, -self.a)
         raise ValueError(f"matrix with det {det} is not invertible over Z")
 
-    def power(self, k: int) -> "Mat2":
-        """M^k by repeated squaring.
+    def check_growth(self, k: int, cap: int) -> None:
+        """Refuse M^k, k >= 0, before any work when its entries may pass ``cap`` bits.
 
-        Entries of M^k are at most n^|k|, n the largest absolute row sum of
-        M (of M^-1 for k < 0).  When M has an eigenvalue off the closed unit
-        disc they grow exponentially, and ResourceLimitError is raised before
-        any work if |k| * bit_length(n) exceeds POWER_BITS_CAP.  Other
-        matrices grow polynomially and are not capped.
+        Entries of M^k are at most n^k, n the largest absolute row sum of M.
+        When M has an eigenvalue off the closed unit disc they grow
+        exponentially, and ResourceLimitError is raised if k * bit_length(n)
+        exceeds ``cap``.  Other matrices grow polynomially and are not capped.
         """
-        m = self if k >= 0 else self.inverse()
-        out = MAT_IDENTITY
-        k = abs(k)
-        t, det = m.a + m.d, m.det()
-        # whether a root of x^2 - t x + det, t and det integers, has modulus > 1
-        if abs(det) > 1 or abs(t) > {1: 2, 0: 1, -1: 0}[det]:
-            n = max(abs(m.a) + abs(m.b), abs(m.c) + abs(m.d))
-            if k * n.bit_length() > POWER_BITS_CAP:
+        a, b, c, d = self
+        t, det = a + d, a * d - b * c
+        # x^2 - t x + det has a root of modulus > 1 (for |det| <= 1: |t| > det + 1)
+        if abs(det) > 1 or abs(t) > det + 1:
+            n = max(abs(a) + abs(b), abs(c) + abs(d))
+            if k * n.bit_length() > cap:
                 raise ResourceLimitError(
-                    f"power {k} of {m.rows()} may pass {POWER_BITS_CAP} bits")
-        while k:  # repeated squaring
-            if k & 1:
-                out = out @ m
-            k >>= 1
-            if k:
-                m = m @ m
-        return out
+                    f"power {k} of {self.rows()} may pass {cap} bits")
+
+    def power(self, k: int) -> "Mat2":
+        """M^k, refused past ``POWER_BITS_CAP`` bits (M^-1 checked for k < 0)."""
+        m = self if k >= 0 else self.inverse()
+        m.check_growth(abs(k), POWER_BITS_CAP)
+        return repeated_squaring(m, abs(k), Mat2.__matmul__, MAT_IDENTITY)
 
     def apply_vec(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
@@ -230,7 +240,7 @@ def mat2(rows) -> Mat2:
 
 
 # The Mobius/surd kernel works on integer tuples: (p, q, r, d) for
-# (p + q*sqrt(d))/r with r > 0, and (a, b, c, d) for a matrix.  The dynamical
+# (p + q*sqrt(d))/r with r > 0, and a Mat2 for a matrix.  The dynamical
 # cone calls it directly; quad_cmp and mobius_apply are its QuadNum front-ends.
 
 def cmp_triples(t1, t2) -> int:
@@ -245,7 +255,7 @@ def cmp_triples(t1, t2) -> int:
     return sign_int_surd(a, b, d)
 
 
-def mobius_cover(mat, t, n: int = 0):
+def mobius_cover(mat: Mat2, t, n: int = 0):
     """Image of the cover point (x, n) under the crossing lift of a Mobius map.
 
     Points of the universal cover of the projective line are pairs (x, n)
@@ -280,7 +290,7 @@ def mobius_cover(mat, t, n: int = 0):
 
 def mobius_apply(m: Mat2, x: QuadNum) -> QuadNum:
     """Exact Mobius image (a x + b) / (c x + d), rationalized to canonical form."""
-    (p, q, r, d), _ = mobius_cover((m.a, m.b, m.c, m.d), (x.p, x.q, x.r, x.d))
+    (p, q, r, d), _ = mobius_cover(m, (x.p, x.q, x.r, x.d))
     return quad(p, q, r, d)
 
 

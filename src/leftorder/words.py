@@ -36,7 +36,7 @@ from .errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
     ResourceLimitError,
 )
-from .surd import MAT_IDENTITY, Mat2
+from .surd import MAT_IDENTITY, Mat2, repeated_squaring
 
 Syllables = tuple[tuple[int, int], ...]
 
@@ -60,15 +60,7 @@ class Word:
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inv()
-        out = self.ctx.identity()
-        k = abs(k)
-        while k:  # repeated squaring
-            if k & 1:
-                out = self.ctx.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.ctx.mul(base, base)
-        return out
+        return repeated_squaring(base, abs(k), self.ctx.mul, self.ctx.identity())
 
     def is_identity(self) -> bool:
         return not self.syllables

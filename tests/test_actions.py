@@ -13,9 +13,9 @@ from leftorder.cones import (
 )
 from leftorder.errors import OrbitUndecidedError
 from leftorder.serialize import cone_from_dict, cone_to_dict
-from leftorder.surd import Mat2, rational, sqrt_of
+from leftorder.surd import MAT_IDENTITY, Mat2, mat2, mobius_apply, rational, sqrt_of
 from leftorder.words import (
-    DirectProductCtx, KleinCtx, SemidirectCtx, ZPowCtx, direct_product_ses,
+    DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, ZPowCtx, direct_product_ses,
     semidirect_ses,
 )
 
@@ -230,6 +230,28 @@ def test_dynamical_conjugate_moves_basepoints():
             s = moved.sign(w)
             assert s == wrapped.sign(w) == c.sign(ctx.mul(ctx.mul(g_inv, w), g)), (g, w)
         assert conj_cone(moved, g_inv) == c
+
+
+def test_dynamical_conjugate_basepoints_match_matrix_reference():
+    # the reference moves each basepoint by the product of the generator
+    # images' Mat2 powers, read projectively through mobius_apply
+    rng = random.Random(11)
+    hyperbolic = DynamicalCone(FreeCtx(2), (mat2([[2, 1], [1, 1]]), mat2([[1, 0], [2, 1]])),
+                               (sqrt_of(2), sqrt_of(5)))
+    for c, top in ((dynamical_cone(), 18), (hyperbolic, 4)):
+        ctx = c.ctx
+        conjugators = [ctx.word([("a", 10 ** top)]), ctx.word([("b", -10 ** top)])]
+        for _ in range(30):
+            pairs = [(rng.randrange(2), rng.choice((-1, 1)) * 10 ** rng.randint(0, top))
+                     for _ in range(rng.randint(1, 4))]
+            conjugators.append(ctx.word(pairs))
+        for g in conjugators:
+            m = MAT_IDENTITY
+            for i, e in g.syllables:
+                m = m @ c.images[i].power(e)
+            moved = conj_cone(c, g)
+            assert moved.images == c.images, g
+            assert moved.basepoints == tuple(mobius_apply(m, x) for x in c.basepoints), g
 
 
 def test_moved_basepoint_descriptor_round_trips():

@@ -235,6 +235,33 @@ def test_lex_semidirect_power_over_cap_exits_2(capsys, word):
     assert err.startswith("error: power") and "Traceback" not in err
 
 
+HYPERBOLIC = ('{"kind":"dynamical","images":[[[2,1],[1,1]],[[1,0],[2,1]]],'
+              '"basepoints":[[0,1,1,2],[0,1,1,3]]}')
+
+
+@pytest.mark.parametrize("word", ["a^1000000000000", "b a^-65537"])
+def test_dynamical_lifted_power_over_cap_exits_2(capsys, word):
+    t0 = time.monotonic()
+    code = main(["sign", "--cone", HYPERBOLIC, "--word", word])
+    elapsed = time.monotonic() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1
+    assert err.startswith("error: ") and "bits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sign", "--word", "a"), ("sign", "--word", "b^-1"), ("axioms", "--r", "2"),
+])
+def test_dynamical_rational_basepoint_exits_2(capsys, argv):
+    # [1/2, sqrt 2]: b^-1 = [[1,0],[-2,1]] has its pole at 1/2
+    cone = ('{"kind":"dynamical","images":[[[1,2],[0,1]],[[1,0],[2,1]]],'
+            '"basepoints":[[1,0,2,0],[0,1,1,2]]}')
+    code = main([*argv, "--cone", cone])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: dynamical basepoints must be irrational surds\n"
+
+
 def test_census_command(capsys):
     code, doc = run(capsys, "census", "--group", "klein", "--r", "2")
     assert code == 0
@@ -278,6 +305,33 @@ def test_verify_identities_command(capsys):
     code, doc = run(capsys, "verify-identities", "--count", "50")
     assert code == 0
     assert doc["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("max_exp", [1, 4, 7])
+def test_verify_identities_draws_follow_the_choice_stream(capsys, monkeypatch, max_exp):
+    # the labels and conjugators drawn are those of rng.choice over the
+    # nonzero exponents, which the command no longer lists
+    import random
+    from leftorder import cli
+    seen = []
+    original = cli.conj_basis
+
+    def recording(ctx, label, by):
+        seen.append((label[0].pairs(), label[1].pairs(), by.pairs()))
+        return original(ctx, label, by)
+
+    monkeypatch.setattr(cli, "conj_basis", recording)
+    code, _ = run(capsys, "verify-identities", "--count", "40", "--seed", "3",
+                  "--max-exp", str(max_exp))
+    assert code == 0
+    rng, m, expected = random.Random(3), max_exp, []
+    for _ in range(40):
+        i = rng.choice([k for k in range(-m, m + 1) if k])
+        j = rng.choice([k for k in range(-m, m + 1) if k])
+        a_exp, b_exp = rng.randint(-m, m), rng.randint(-m, m)
+        for by in ([["a", a_exp]], [["b", b_exp]], [["a", a_exp], ["b", b_exp]]):
+            expected.append(([["a", i]], [["b", j]], [p for p in by if p[1]]))
+    assert seen == expected
 
 
 def test_equivariance_command(capsys):

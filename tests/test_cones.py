@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,9 +10,11 @@ from leftorder.cones import (
 )
 from leftorder.errors import (
     InvalidConeError, InvalidEmbeddingError, InvalidSlopeError, NoSignError,
-    WrongConstructorError,
+    ResourceLimitError, WrongConstructorError,
 )
-from leftorder.surd import Mat2, mat2, quad, rational, sign_int_surd, sqrt_of
+from leftorder.surd import (
+    LIFT_BITS_CAP, Mat2, mat2, quad, rational, sign_int_surd, sqrt_of,
+)
 from leftorder.words import (
     DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, Word, ZPowCtx,
     direct_product_ses, semidirect_ses,
@@ -240,6 +243,45 @@ def test_dynamical_unfaithful_images_guarded():
         c.sign(w)
     with pytest.raises(InsufficientBasepointsError):
         c.sign_of_product([F2.word([("a", 1)]), F2.word([("b", -1)])])
+
+
+def test_dynamical_rational_basepoint_refused():
+    # a rational point can be the pole of an integer matrix; an irrational one never is
+    images = (mat2([[1, 2], [0, 1]]), mat2([[1, 0], [2, 1]]))
+    for points in ((rational(1, 2), sqrt_of(2)), (sqrt_of(3), rational(0)), (sqrt_of(4),)):
+        with pytest.raises(InvalidConeError, match="irrational"):
+            DynamicalCone(F2, images, points)
+
+
+def hyperbolic_cone():
+    """a acts by the Anosov [[2,1],[1,1]], so the lift of a^k grows like 1.39 k bits."""
+    return DynamicalCone(F2, (mat2([[2, 1], [1, 1]]), mat2([[1, 0], [2, 1]])),
+                         (sqrt_of(2), sqrt_of(3)))
+
+
+def test_dynamical_lifted_power_cap_edges():
+    # row sum 3 has 2 bits, for [[2,1],[1,1]] and for its inverse
+    c = hyperbolic_cone()
+    k = LIFT_BITS_CAP // 2
+    for sign in (1, -1):
+        assert c.sign(F2.word([("a", sign * k)])) == c.sign(F2.word([("a", sign)]))
+        for e in (k + 1, 10 ** 12, 10 ** 18):
+            t0 = time.monotonic()
+            with pytest.raises(ResourceLimitError):
+                c.sign(F2.word([("a", sign * e)]))
+            assert time.monotonic() - t0 < 0.5  # refused before any squaring
+
+
+def test_dynamical_lift_of_a_product_capped():
+    # each power is under the cap, but their product's lift would pass it:
+    # a^k has about 1.39 k bits, so a^(3 cap / 8) has about 0.52 cap bits
+    c = hyperbolic_cone()
+    k = LIFT_BITS_CAP // 8
+    assert c.sign(F2.word([("a", k), ("b", 1), ("a", k)])) == 1
+    with pytest.raises(ResourceLimitError):
+        c.sign(F2.word([("a", 3 * k), ("b", 1), ("a", 3 * k)]))
+    with pytest.raises(ResourceLimitError):
+        c.sign(F2.word([("a", k), ("b", 1)] * 8))
 
 
 def test_dynamical_sign_of_product_matches_mul():

@@ -1,0 +1,89 @@
+"""Huge exponents against the resource caps, one CLI process per case.
+
+Each case runs in a child process limited to 1 GiB of address space and 10
+CPU seconds.  Whatever the exponents, the CLI contract must hold: exit 0, 1
+or 2 and no traceback.  A power that would outgrow its cap must be refused
+(exit 2) before the work, not run into either limit.  Work sizes (counts,
+samples, radii) stay at small fixed values; only exponents are drawn.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import leftorder
+
+resource = pytest.importorskip("resource")
+
+SRC = str(Path(leftorder.__file__).resolve().parents[1])
+HYPERBOLIC = {"kind": "dynamical", "images": [[[2, 1], [1, 1]], [[1, 0], [2, 1]]],
+              "basepoints": [[0, 1, 1, 2], [0, 1, 1, 3]]}
+SOL_LEX = {"kind": "lex", "ses": "sol",
+           "kernel": {"kind": "slope", "a": [1, 0], "variant": "++"},
+           "quotient": {"kind": "zsign", "sign": 1}}
+
+
+def _exp(rng):
+    """A nonzero exponent of 1 to 19 digits, at most 10^18 in size."""
+    return rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 18))
+
+
+def _word(rng, letters):
+    return " ".join(f"{rng.choice(letters)}^{_exp(rng)}"
+                    for _ in range(rng.randint(1, 3)))
+
+
+def _cases():
+    rng = random.Random(0)
+    lex = ["lex", "--ses", "sol", "--kernel", json.dumps(SOL_LEX["kernel"]),
+           "--quotient", json.dumps(SOL_LEX["quotient"])]
+    makers = [
+        lambda: ["sign", "--cone", '{"kind":"dynamical"}', "--word", _word(rng, "ab")],
+        lambda: ["sign", "--cone", json.dumps(HYPERBOLIC), "--word", _word(rng, "ab")],
+        lambda: ["sign", "--cone", json.dumps(SOL_LEX), "--word", _word(rng, "abt")],
+        lambda: ["sign", "--cone", '{"kind":"klein","ex":1,"ey":-1}',
+                 "--word", _word(rng, "xy")],
+        lambda: ["sign", "--cone", json.dumps(
+            {"kind": "conjugate", "base": rng.choice([{"kind": "dynamical"}, HYPERBOLIC]),
+             "by": [["a", _exp(rng)], ["b", _exp(rng)]]}), "--word", _word(rng, "ab")],
+        lambda: [*lex, "--word", f"t^{_exp(rng)} a t^{_exp(rng)}"],
+        lambda: ["conj-basis", "--g", f"a^{_exp(rng)}", "--h", f"b^{_exp(rng)}",
+                 "--by", _word(rng, "ab")],
+        lambda: ["kernel-decompose", "--word",
+                 "a^{0} b^{1} a^-{0} b^-{1}".format(abs(_exp(rng)), abs(_exp(rng)))],
+        lambda: ["amalgam-nf", "--instance", rng.choice(["square", "free"]),
+                 "--word", _word(rng, "ab")],
+        lambda: ["verify-identities", "--count", "20", "--max-exp", str(abs(_exp(rng)))],
+    ]
+    cases = [make() for _ in range(3) for make in makers]
+    # the edges themselves: the largest exponents accepted and the first refused
+    cases += [
+        ["sign", "--cone", json.dumps(HYPERBOLIC), "--word", "a^65536"],
+        ["sign", "--cone", json.dumps(HYPERBOLIC), "--word", "a^-65537"],
+        [*lex, "--word", "t^1048576 a"],
+        [*lex, "--word", "t^1048577 a"],
+        ["verify-identities", "--count", "20", "--max-exp", str(10 ** 18)],
+    ]
+    return cases
+
+
+def _limit():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=lambda argv: " ".join(argv)[:60])
+def test_huge_exponents_keep_the_exit_contract(argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "leftorder.cli", *argv], env=env,
+                          preexec_fn=_limit, capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 1, 2), proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr, proc.stderr[-500:]
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")

@@ -6,7 +6,8 @@ import pytest
 
 from leftorder.surd import (
     EQ, GT, LT, MAT_IDENTITY, POWER_BITS_CAP, Mat2, QuadNum, mat2,
-    mobius_apply, primitive_vec, quad, quad_cmp, rational, sqrt_of,
+    mobius_apply, mobius_cover, primitive_vec, quad, quad_cmp, rational,
+    repeated_squaring, sqrt_of,
 )
 from leftorder.errors import (
     PoleError, ResourceLimitError, UnsupportedComparisonError,
@@ -213,3 +214,54 @@ def test_power_uncapped_below_exponential_growth():
     assert Mat2(0, -1, 1, 0).power(big + 1) == Mat2(0, -1, 1, 0)   # order 4
     assert Mat2(0, 1, 1, 0).power(big + 1) == Mat2(0, 1, 1, 0)     # det -1, order 2
     assert Mat2(1, 0, 0, 0).power(big) == Mat2(1, 0, 0, 0)
+
+
+def test_mat2_is_a_plain_tuple():
+    # the Mobius kernel unpacks a Mat2 as the tuple (a, b, c, d)
+    m = mat2([[2, 1], [1, 1]])
+    assert isinstance(m, tuple) and m == (2, 1, 1, 1) and tuple(m) == (m.a, m.b, m.c, m.d)
+    assert hash(m) == hash((2, 1, 1, 1)) and m.rows() == [[2, 1], [1, 1]]
+    assert repr(m) == "Mat2(a=2, b=1, c=1, d=1)"
+    x = sqrt_of(3)
+    assert mobius_cover(m, (x.p, x.q, x.r, x.d)) == mobius_cover((2, 1, 1, 1), (0, 1, 1, 3))
+
+
+def test_repeated_squaring_matches_repeated_products():
+    # one exponent per bit pattern up to 6 bits, under a noncommuting product
+    rng = random.Random(5)
+    for _ in range(20):
+        m = _random_unimodular(rng)
+        acc = MAT_IDENTITY
+        for k in range(64):
+            assert repeated_squaring(m, k, Mat2.__matmul__, MAT_IDENTITY) == acc
+            acc = acc @ m
+    assert repeated_squaring("ab", 5, str.__add__, "") == "ab" * 5
+    assert repeated_squaring(3, 0, int.__mul__, 1) == 1
+
+
+def test_check_growth_is_the_power_cap():
+    sol = Mat2(2, 1, 1, 1)
+    k = POWER_BITS_CAP // 2
+    sol.check_growth(k, POWER_BITS_CAP)
+    with pytest.raises(ResourceLimitError):
+        sol.check_growth(k + 1, POWER_BITS_CAP)
+    sol.check_growth(8, 16)
+    with pytest.raises(ResourceLimitError):
+        sol.check_growth(9, 16)
+    Mat2(1, 2, 0, 1).check_growth(10 ** 18, 16)  # parabolic: never capped
+
+
+def test_check_growth_caps_exactly_the_spectral_radius_above_one():
+    # with cap 0 any growing power is refused; compare with the roots in floats
+    import cmath
+    from itertools import product
+    for a, b, c, d in product(range(-3, 4), repeat=4):
+        t, det = a + d, a * d - b * c
+        disc = cmath.sqrt(t * t - 4 * det)
+        grows = max(abs((t + disc) / 2), abs((t - disc) / 2)) > 1 + 1e-9
+        try:
+            Mat2(a, b, c, d).check_growth(1, 0)
+            refused = False
+        except ResourceLimitError:
+            refused = True
+        assert refused == grows, (a, b, c, d)
