@@ -1,11 +1,9 @@
-"""The conjugation action on cones and its orbit machinery.
+"""Equality, orbits and equivariance for the conjugation action on cones.
 
-Convention, fixed once and property-tested: the cone g . P answers
-sign(w) = sign_P(g^-1 w g), so conj_cone(conj_cone(c, g), h) equals
-conj_cone(c, h g).  Conjugates simplify to canonical descriptors whenever the
-family algebra is known (abelian contexts, Klein parity, lex components),
-and a dynamical cone's conjugate is the dynamical cone on moved basepoints;
-everything else stays an honest wrapper compared on balls.
+The action itself, ``conj_cone`` with ``kernel_conj_cone`` and ``diag_conj``
+for extensions, lives in cones.py beside the classes it builds and is
+re-exported here.  Equality is exact on canonical descriptors; everything
+else is compared on balls.
 """
 
 from __future__ import annotations
@@ -14,66 +12,11 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatchError, OrbitUndecidedError
 from .cones import (
-    Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
-    QuadSlopeCone, RestrictionCone, SlopeCone, ZSignCone, detect_slope,
-    restrict_cone, slope_cone,
+    Cone, DynamicalCone, KleinCone, LexCone, QuadSlopeCone, RestrictionCone,
+    SlopeCone, ZSignCone, conj_cone, detect_slope, diag_conj, kernel_conj_cone,
+    restrict_cone,
 )
-from .surd import quad
-from .words import DirectProductCtx, SemidirectCtx, ShortExactSeq, Word, ZPowCtx
-
-
-def conj_cone(c: Cone, g: Word) -> Cone:
-    """The cone g . P; simplified to an exact descriptor when computable."""
-    ctx = c.ctx
-    g = ctx.normalize(g)
-    if g.is_identity():
-        return c
-    if isinstance(ctx, ZPowCtx):
-        return c  # abelian: the action is trivial
-    if isinstance(c, KleinCone):
-        _, a = ctx.yx_exponents(g)
-        return KleinCone(ctx, c.ex, c.ey if a % 2 == 0 else -c.ey)
-    if isinstance(c, LexCone):
-        return LexCone(c.ses,
-                       kernel_conj_cone(c.ses, c.kernel_cone, g),
-                       conj_cone(c.quotient_cone, c.ses.project(g)))
-    if isinstance(c, ConjugateCone):
-        return conj_cone(c.base, ctx.mul(g, c.by))
-    if isinstance(c, DynamicalCone):
-        # L(g^-1 w g) moves (x, 0) as L(w) moves L(g) (x, 0); lifts commute
-        # with deck shifts, so only the projective point g x matters
-        return DynamicalCone(ctx, c.images, tuple(
-            quad(*t) for t, _ in c._points(c._element(g))))
-    return ConjugateCone(c, g)
-
-
-def kernel_conj_cone(ses: ShortExactSeq, kcone: Cone, g: Word) -> Cone:
-    """Transport a kernel cone along conjugation by g in the total group."""
-    g = ses.total.normalize(g)
-    if g.is_identity():
-        return kcone
-    total = ses.total
-    if isinstance(total, SemidirectCtx) and isinstance(kcone, SlopeCone):
-        _, k = total.parts(g)
-        if k == 0:
-            return kcone  # kernel is abelian; inner part acts trivially
-        m = total.matrix.power(-k)
-        a1, a2 = kcone.a
-        new_a = (m.a * a1 + m.c * a2, m.b * a1 + m.d * a2)  # transpose action
-        variant = kcone.variant
-        if m.det() < 0:
-            variant = variant[0] + ("-" if variant[1] == "+" else "+")
-        return slope_cone(new_a, variant, ctx=kcone.ctx)
-    if isinstance(total, DirectProductCtx):
-        g0 = ses.kernel_part(g)
-        return conj_cone(kcone, g0)
-    return KernelActionCone(ses, kcone, g)
-
-
-def diag_conj(pair: tuple[Cone, Cone], g: Word, ses: ShortExactSeq) -> tuple[Cone, Cone]:
-    """The diagonal action g . (P_K, P_H) on kernel/quotient cone pairs."""
-    pk, ph = pair
-    return (kernel_conj_cone(ses, pk, g), conj_cone(ph, ses.project(g)))
+from .words import ShortExactSeq, Word
 
 
 # -- equality ------------------------------------------------------------------
@@ -145,14 +88,14 @@ def cone_equal(c1: Cone, c2: Cone, strategy: str = "exact",
         raise ContextMismatchError("cones live on different contexts")
     if strategy == "exact":
         s1, s2 = c1.simplified(), c2.simplified()
+        exact = _exact_comparable(s1) and _exact_comparable(s2)
         # distinct basepoints can still give one order, so only == decides
-        if isinstance(s1, DynamicalCone) and s1 == s2:
+        if s1 == s2 and (exact or isinstance(s1, DynamicalCone)):
             return EqualityResult("equal")
-        if not (_exact_comparable(s1) and _exact_comparable(s2)):
+        w = _distinct_witness(s1, s2) if exact else None
+        if w is None:  # no "distinct" without a word that shows it
             return EqualityResult("unknown", radius=0)
-        if s1 == s2:
-            return EqualityResult("equal")
-        return EqualityResult("distinct", witness=_distinct_witness(s1, s2))
+        return EqualityResult("distinct", witness=w)
     if strategy == "ball":
         w = _first_ball_difference(c1, c2, radius)
         if w is not None:

@@ -5,7 +5,8 @@ positive set is closed under multiplication and meets each {w, w^-1} pair
 exactly once.  Concrete families: half-plane cones on Z^2 with rational or
 quadratic-surd slopes, the four Klein-bottle cones, lexicographic cones on
 group extensions, a dynamical cone on the free group built from an exact
-Mobius action, plus conjugate, kernel-action and restriction wrappers.
+Mobius action, plus conjugate and restriction wrappers, and ``conj_cone``,
+the conjugation action that builds them.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .errors import (
 )
 from .surd import (
     LIFT_BITS_CAP, MAT_IDENTITY, Mat2, QuadNum, cmp_triples, mat2, mobius_cover,
-    primitive_vec, repeated_squaring, sqrt_of,
+    primitive_vec, quad, rational, repeated_squaring, sqrt_of,
 )
 from .words import (
-    FreeCtx, GroupCtx, KleinCtx, ShortExactSeq, Word, ZPowCtx,
+    DirectProductCtx, FreeCtx, GroupCtx, KleinCtx, SemidirectCtx, ShortExactSeq,
+    Word, ZPowCtx,
 )
 
 
@@ -139,11 +141,13 @@ def quad_slope_cone(a, sign_char: str, ctx: ZPowCtx | None = None) -> QuadSlopeC
     a1, a2 = a
     if a1.is_zero() and a2.is_zero():
         raise InvalidSlopeError("zero vector has no associated cone")
-    if a1.is_zero() or a2.is_zero() or (a1 / a2).is_rational():
+    if a1.is_zero() or a2.is_zero() or (a2 / a1).is_rational():
         raise WrongConstructorError(
             "rational slope: use slope_cone with its four variants")
-    return QuadSlopeCone(_lattice(ctx, 2), (a1, a2),
-                         1 if sign_char == "+" else -1)
+    # one record per cone: the normal is stored as (1, a2/a1), and dividing
+    # by a1 turns the positive side over when a1 < 0
+    return QuadSlopeCone(_lattice(ctx, 2), (rational(1), a2 / a1),
+                         a1.sign() if sign_char == "+" else -a1.sign())
 
 
 @dataclass(frozen=True)
@@ -419,7 +423,11 @@ def dynamical_cone(ctx: FreeCtx | None = None) -> DynamicalCone:
 
 @dataclass(frozen=True)
 class ConjugateCone(Cone):
-    """sign(w) = sign_base(g^-1 w g), realizing the action g . P = g P g^-1."""
+    """sign(w) = sign_base(g^-1 w g), realizing the action g . P = g P g^-1.
+
+    It signs through ``conj_cone(base, by)``, computed once and kept outside
+    the dataclass fields, unless that is a wrapper again (an opaque base).
+    """
 
     base: Cone
     by: Word
@@ -428,37 +436,21 @@ class ConjugateCone(Cone):
     def ctx(self) -> GroupCtx:
         return self.base.ctx
 
+    def simplified(self) -> Cone:
+        memo = vars(self)
+        if "_simplified" not in memo:
+            memo["_simplified"] = conj_cone(self.base, self.by)
+        return memo["_simplified"]
+
     def _sign(self, w: Word) -> int:
-        g = self.by
-        return self.base.sign_of_product([self.ctx.inv(g), w, g])
+        s = self.simplified()
+        return self.sign_of_product((w,)) if isinstance(s, ConjugateCone) else s.sign(w)
 
     def sign_of_product(self, words) -> int:
-        g = self.by
-        return self.base.sign_of_product([self.ctx.inv(g), *words, g])
-
-    def simplified(self) -> Cone:
-        base = self.base.simplified()
-        if base is not self.base:
-            return ConjugateCone(base, self.by)
-        return self
-
-
-@dataclass(frozen=True)
-class KernelActionCone(Cone):
-    """Kernel cone transported by the automorphism k -> g^-1 k g of a normal kernel."""
-
-    ses: ShortExactSeq
-    base: Cone
-    g: Word
-
-    @property
-    def ctx(self) -> GroupCtx:
-        return self.ses.kernel
-
-    def _sign(self, w: Word) -> int:
-        total = self.ses.total
-        moved = total.mul(total.mul(total.inv(self.g), self.ses.inject(w)), self.g)
-        return self.base.sign(self.ses.kernel_pull(moved))
+        s = self.simplified()
+        if not isinstance(s, ConjugateCone):
+            return s.sign_of_product(words)
+        return s.base.sign_of_product([self.ctx.inv(s.by), *words, s.by])
 
 
 @dataclass(frozen=True)
@@ -533,6 +525,69 @@ def restrict_cone(c: Cone, embedding: Embedding) -> RestrictionCone:
         raise InvalidEmbeddingError("embedding target differs from the cone context")
     embedding.spot_check()
     return RestrictionCone(c, embedding)
+
+
+# -- the conjugation action ----------------------------------------------------------
+
+def conj_cone(c: Cone, g: Word) -> Cone:
+    """The cone g . P: sign(w) = sign_P(g^-1 w g), a descriptor when computable.
+    Wrappers fold first, g . (h . P) = (g h) . P, so a dynamical base lifts
+    the whole product once, under one ``LIFT_BITS_CAP``."""
+    ctx = c.ctx
+    while isinstance(c, ConjugateCone):
+        c, g = c.base, ctx.mul(g, c.by)
+    c = c.simplified()
+    g = ctx.normalize(g)
+    if g.is_identity() or isinstance(ctx, ZPowCtx):
+        return c  # abelian: the action is trivial
+    if isinstance(c, KleinCone):
+        _, a = ctx.yx_exponents(g)
+        return KleinCone(ctx, c.ex, c.ey if a % 2 == 0 else -c.ey)
+    if isinstance(c, LexCone):
+        return LexCone(c.ses, *diag_conj((c.kernel_cone, c.quotient_cone), g, c.ses))
+    if isinstance(c, DynamicalCone):
+        # L(g^-1 w g) moves (x, 0) as L(w) moves L(g) (x, 0); lifts commute
+        # with deck shifts, so only the projective point g x matters
+        return DynamicalCone(ctx, c.images, tuple(
+            quad(*t) for t, _ in c._points(c._element(g))))
+    return ConjugateCone(c, g)
+
+
+def kernel_conj_cone(ses: ShortExactSeq, kcone: Cone, g: Word) -> Cone:
+    """Transport a kernel cone along conjugation by g in the total group:
+    the result signs k as kcone signs g^-1 k g."""
+    total = ses.total
+    g = total.normalize(g)
+    if g.is_identity():
+        return kcone
+    if isinstance(total, DirectProductCtx):
+        return conj_cone(kcone, ses.kernel_part(g))
+    if isinstance(total, SemidirectCtx):
+        _, k = total.parts(g)
+        if k == 0:
+            return kcone  # kernel is abelian; inner part acts trivially
+        s = kcone.simplified()
+        if isinstance(s, (SlopeCone, QuadSlopeCone)):
+            # g^-1 (v, 0) g = (A^-k v, 0), and a . A^-k v = (A^-k)^T a . v
+            m = total.matrix.power(-k)
+            a1, a2 = s.a
+            a = (m.a * a1 + m.c * a2, m.b * a1 + m.d * a2)
+            if isinstance(s, QuadSlopeCone):
+                return quad_slope_cone(a, "+" if s.positive_side > 0 else "-", s.ctx)
+            v = s.variant  # an orientation-reversing A^-k flips the tie character
+            return slope_cone(a, v if m.det() > 0 else v[0] + _flip_variant(v[1]), s.ctx)
+
+    def moved(w: Word) -> Word:
+        return ses.kernel_pull(total.conj(total.inv(g), ses.inject(w)))
+
+    return RestrictionCone(kcone, Embedding(ses.kernel, ses.kernel, moved,
+                                            tag=("kernel_conj", ses, g)))
+
+
+def diag_conj(pair: tuple[Cone, Cone], g: Word, ses: ShortExactSeq) -> tuple[Cone, Cone]:
+    """The diagonal action g . (P_K, P_H) on kernel/quotient cone pairs."""
+    pk, ph = pair
+    return (kernel_conj_cone(ses, pk, g), conj_cone(ph, ses.project(g)))
 
 
 # -- axiom checking -----------------------------------------------------------------

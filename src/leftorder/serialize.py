@@ -9,7 +9,7 @@ import json
 from dataclasses import fields, is_dataclass
 
 from .cones import (
-    Cone, ConjugateCone, DynamicalCone, KernelActionCone, KleinCone, LexCone,
+    Cone, ConjugateCone, DynamicalCone, KleinCone, LexCone,
     QuadSlopeCone, RestrictionCone, Slope, SlopeCone, ZSignCone, cyclic_embedding,
     dynamical_cone, lex_cone, quad_slope_cone, ses_kernel_embedding,
     slope_cone, z_cone,
@@ -146,9 +146,6 @@ def cone_to_dict(c: Cone, full: bool = True) -> dict:
                 "quotient": cone_to_dict(c.quotient_cone, full)}
     if isinstance(c, ConjugateCone):
         return {"kind": "conjugate", "by": c.by.pairs(),
-                "base": cone_to_dict(c.base, full)}
-    if isinstance(c, KernelActionCone):
-        return {"kind": "kernel_action", "g": c.g.pairs(),
                 "base": cone_to_dict(c.base, full)}
     if isinstance(c, RestrictionCone):
         tag = c.embedding.tag

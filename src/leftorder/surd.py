@@ -123,6 +123,8 @@ class QuadNum:
     def scaled(self, k: int) -> "QuadNum":
         return quad(self.p * k, self.q * k, self.r, self.d)
 
+    __rmul__ = scaled  # k * x for an integer k
+
     def __repr__(self) -> str:
         if self.q == 0:
             return f"{self.p}/{self.r}" if self.r != 1 else str(self.p)

@@ -7,7 +7,7 @@ from leftorder.actions import (
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
 from leftorder.cones import (
-    ConjugateCone, DynamicalCone, Embedding, KernelActionCone, KleinCone,
+    ConjugateCone, DynamicalCone, Embedding, KleinCone, QuadSlopeCone,
     RestrictionCone, detect_slope, dynamical_cone, lex_cone, quad_slope_cone,
     restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
@@ -146,7 +146,7 @@ def test_kernel_conj_quad_slope_cone_acts_by_inverse_matrix():
     # so the transported cone signs v as the base cone signs A^-1 v
     base = quad_slope_cone((rational(1), sqrt_of(2)), "+", SOL_SES.kernel)
     moved = kernel_conj_cone(SOL_SES, base, SOL.word([("t", 1)]))
-    assert isinstance(moved, KernelActionCone)
+    assert isinstance(moved, QuadSlopeCone)
     # A = [[2, 1], [1, 1]], so A^-1 = [[1, -1], [-1, 2]]
     for v1 in range(-4, 5):
         for v2 in range(-4, 5):
@@ -155,6 +155,24 @@ def test_kernel_conj_quad_slope_cone_acts_by_inverse_matrix():
             w = SOL_SES.kernel.from_vector((v1, v2))
             expect = _sign_m_plus_n_sqrt2(v1 - v2, -v1 + 2 * v2)
             assert moved.sign(w) == expect
+
+
+def test_kernel_conj_opaque_kernel_cone_is_a_restriction():
+    # a kernel cone with no descriptor moves along the automorphism
+    # k -> pull(g^-1 i(k) g), as an opaque restriction
+    kernel = SOL_SES.kernel
+    swap = Embedding(kernel, kernel, lambda w: kernel.from_vector(kernel.vector(w)[::-1]))
+    kc = RestrictionCone(slope_cone((1, 0), "++", kernel), swap)
+    t = SOL.word([("t", 1)])
+    moved = kernel_conj_cone(SOL_SES, kc, t)
+    assert isinstance(moved, RestrictionCone) and moved.base is kc
+    assert kernel_conj_cone(SOL_SES, kc, SOL.from_parts((3, -2), 0)) is kc
+    for w in kernel.ball(4)[1:]:
+        inner = SOL.conj(SOL.inv(t), SOL_SES.inject(w))
+        assert moved.sign(w) == kc.sign(SOL_SES.kernel_pull(inner))
+    # the embedding's tag tells conjugators apart, so the records differ
+    assert moved != kernel_conj_cone(SOL_SES, kc, SOL.word([("t", 2)]))
+    assert cone_to_dict(moved, False)["embedding"] == {"type": "opaque"}
 
 
 # -- cone equality ---------------------------------------------------------------
@@ -171,6 +189,61 @@ def test_cone_equal_distinct_slopes_have_witness():
     assert res.verdict == "distinct" and res.witness is not None
     c1, c2 = slope_cone((5, 4), "++"), slope_cone((4, 3), "++")
     assert c1.sign(res.witness) != c2.sign(res.witness)
+
+
+def test_cone_equal_no_distinct_without_a_witness():
+    # equal irrational cones are equal records, so exact equality sees them
+    root2 = sqrt_of(2)
+    c = quad_slope_cone((rational(1), root2), "+")
+    for other in (quad_slope_cone((rational(2), root2.scaled(2)), "+"),
+                  quad_slope_cone((rational(-1), -root2), "-")):
+        assert cone_equal(c, other, "exact").verdict == "equal"
+    # sqrt 2 and sqrt 2 + 1/1000 sign every word of B_4 alike: no witness
+    near = quad_slope_cone((rational(1), root2 + rational(1, 1000)), "+")
+    res = cone_equal(c, near, "exact")
+    assert (res.verdict, res.witness, res.radius) == ("unknown", None, 0)
+    res = cone_equal(c, quad_slope_cone((rational(1), -root2), "+"), "exact")
+    assert res.verdict == "distinct"
+    assert c.sign(res.witness) != quad_slope_cone((rational(1), -root2), "+").sign(res.witness)
+
+
+def test_read_conjugate_equals_conj_cone():
+    # a ConjugateCone, as a `conjugate` descriptor reads, evaluates through conj_cone
+    dyn = dynamical_cone()
+    x, y = KLEIN.gens()
+    a, b = dyn.ctx.gens()
+    cases = [(KleinCone(KLEIN, 1, 1), g) for g in (x, y, KLEIN.word([("y", 2), ("x", 3)]))]
+    cases += [(dyn, g) for g in (a, b ** -2, a * b ** -2)]
+    cases += [(ConjugateCone(dyn, b), a), (sol_lex(), SOL.word([("t", 1), ("a", -2)]))]
+    for base, g in cases:
+        wrapped = ConjugateCone(base, g)
+        assert wrapped.simplified() == conj_cone(base, g)
+        assert wrapped.simplified() is wrapped.simplified()
+        assert cone_equal(wrapped, conj_cone(base, g), "exact").verdict == "equal"
+        back = cone_from_dict(cone_to_dict(wrapped))
+        assert cone_equal(back, conj_cone(base, g), "exact").verdict == "equal"
+
+
+def test_conjugates_of_an_opaque_base_fold_into_one_wrapper():
+    # a base with no descriptor: conj_cone keeps a wrapper, nested wrappers fold
+    # into one product, and signs unfold as base(g^-1 w g)
+    c = dynamical_cone()
+    ctx = c.ctx
+    a, b = ctx.gens()
+    opaque = RestrictionCone(c, Embedding(ctx, ctx, lambda w: ctx.conj(a * b, w)))
+    g, h = a * b ** -1, b ** 2
+    nested = ConjugateCone(ConjugateCone(opaque, g), h)
+    flat = nested.simplified()
+    assert isinstance(flat, ConjugateCone) and flat.base is opaque
+    assert flat.by == ctx.mul(h, g)
+    hg = ctx.mul(h, g)
+    for w in ctx.ball(3)[1:]:
+        expect = opaque.sign(ctx.conj(ctx.inv(hg), w))
+        assert nested.sign(w) == flat.sign(w) == expect, w
+    for u in ctx.ball(2)[1:]:
+        for v in ctx.ball(2)[1:]:
+            if not ctx.mul(u, v).is_identity():
+                assert nested.sign_of_product([u, v]) == nested.sign(ctx.mul(u, v))
 
 
 def test_cone_equal_exact_on_equal_dynamical_descriptors():

@@ -77,11 +77,29 @@ def test_axioms_command_pass(capsys):
     assert doc["result"]["ok"] is True
 
 
+def _sol_lex_quad(normal):
+    return json.dumps({"kind": "lex", "ses": "sol",
+                       "kernel": {"kind": "quad_slope", "a": normal, "sign": "+"},
+                       "quotient": {"kind": "zsign", "sign": 1}})
+
+
 def test_orbit_command(capsys):
     code, doc = run(capsys, "orbit", "--cone", '{"kind":"klein","ex":1,"ey":1}',
                     "--conjugators", "x,y")
     assert code == 0
     assert doc["result"]["size"] == 2
+
+
+@pytest.mark.parametrize("cone, conjugators, size", [
+    ('{"kind":"conjugate","base":{"kind":"klein","ex":1,"ey":1},"by":[["x",1]]}',
+     "x,y", 2),
+    # the kernel normal (1, (sqrt 5 - 1)/2) is an eigenvector of A^T: t fixes the cone
+    (_sol_lex_quad([[1, 0, 1, 0], [-1, 1, 2, 5]]), "t,a", 1),
+])
+def test_orbit_command_decides_read_descriptors(capsys, cone, conjugators, size):
+    code, doc = run(capsys, "orbit", "--cone", cone, "--conjugators", conjugators)
+    assert code == 0
+    assert doc["result"]["size"] == size
 
 
 def test_conradian_command(capsys):
@@ -109,6 +127,22 @@ def test_slope_command(capsys):
                     '{"kind":"slope","a":[2,3],"variant":"+-"}')
     assert code == 0
     assert doc["result"]["slope"]["rational"] == [3, -2]
+
+
+def test_slope_of_conjugate_descriptor_is_exact(capsys):
+    code, doc = run(capsys, "slope", "--cone", '{"kind":"conjugate","base":'
+                    '{"kind":"slope","a":[2,3],"variant":"+-"},"by":[["e1",1]]}')
+    assert code == 0 and doc["result"]["exact"] is True
+    assert doc["result"]["slope"]["rational"] == [3, -2]
+    assert doc["result"]["variant"] == "+-"
+
+
+def test_quad_slope_echo_is_canonical(capsys):
+    code, doc = run(capsys, "slope", "--cone",
+                    '{"kind":"quad_slope","a":[[-2,0,1,0],[0,-2,1,2]],"sign":"-"}')
+    assert code == 0
+    assert doc["config"]["cone"]["a"] == [[1, 0, 1, 0], [0, 1, 1, 2]]
+    assert doc["config"]["cone"]["sign"] == "+"
 
 
 def test_lex_command(capsys):
@@ -246,6 +280,32 @@ def test_dynamical_lifted_power_over_cap_exits_2(capsys, word):
     elapsed = time.monotonic() - t0
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and elapsed < 1
+    assert err.startswith("error: ") and "bits" in err and "Traceback" not in err
+
+
+def _conjugated(levels):
+    """The hyperbolic cone wrapped in ``levels`` conjugates by a^65536 b."""
+    cone = json.loads(HYPERBOLIC)
+    for _ in range(levels):
+        cone = {"kind": "conjugate", "base": cone, "by": [["a", 65536], ["b", 1]]}
+    return json.dumps(cone)
+
+
+def test_conjugate_under_the_lift_cap_bytes_pinned(capsys):
+    code = main(["sign", "--cone", _conjugated(1), "--word", "b"])
+    out = capsys.readouterr().out
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "e0b4fbfd1ac88ef09bb5d59c47d6b9b6dbd51da6bc4e549c8f27df77817181bc")
+
+
+@pytest.mark.parametrize("levels", [2, 6])
+def test_nested_conjugates_share_one_lift_cap(capsys, levels):
+    # the conjugators multiply out first, and their product's lift passes the cap
+    t0 = time.monotonic()
+    code = main(["sign", "--cone", _conjugated(levels), "--word", "b"])
+    elapsed = time.monotonic() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 2
     assert err.startswith("error: ") and "bits" in err and "Traceback" not in err
 
 

@@ -89,6 +89,29 @@ def test_quad_slope_cone():
     assert quad_slope_cone((rational(1), sqrt_of(2)), "-").sign(vec(1, 1)) == -1
 
 
+def test_quad_slope_cone_is_stored_in_canonical_form():
+    # one record per cone: the normal (1, a2/a1), the side turned over when a1 < 0
+    root2 = sqrt_of(2)
+    c = quad_slope_cone((rational(1), root2), "+")
+    assert c.a == (rational(1), root2) and c.positive_side == 1
+    assert quad_slope_cone((rational(2), root2.scaled(2)), "+") == c
+    assert quad_slope_cone((rational(-1), -root2), "-") == c
+    # against the raw rule, positive iff a1 m + a2 n has the chosen sign
+    rng = random.Random(5)
+    for _ in range(40):
+        a1 = quad(rng.randint(-4, 4), rng.randint(-3, 3), rng.randint(1, 3), 2)
+        a2 = quad(rng.randint(-4, 4), rng.randint(-3, 3), rng.randint(1, 3), 2)
+        if a1.is_zero() or a2.is_zero() or (a2 / a1).is_rational():
+            continue
+        side = rng.choice("+-")
+        c = quad_slope_cone((a1, a2), side)
+        assert c.a[0] == rational(1)
+        for w in Z2.ball(4)[1:]:
+            m, n = Z2.vector(w)
+            raw = (a1.scaled(m) + a2.scaled(n)).sign()
+            assert c.sign(w) == (raw if side == "+" else -raw), (a1, a2, side, m, n)
+
+
 def test_quad_slope_rejects_rational_ratio():
     with pytest.raises(WrongConstructorError):
         quad_slope_cone((rational(2), rational(3)), "+")

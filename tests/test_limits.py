@@ -38,6 +38,14 @@ def _word(rng, letters):
                     for _ in range(rng.randint(1, 3)))
 
 
+def _nested(levels, by):
+    """The hyperbolic cone wrapped in ``levels`` conjugates, each by ``by()``."""
+    cone = HYPERBOLIC
+    for _ in range(levels):
+        cone = {"kind": "conjugate", "base": cone, "by": by()}
+    return json.dumps(cone)
+
+
 def _cases():
     rng = random.Random(0)
     lex = ["lex", "--ses", "sol", "--kernel", json.dumps(SOL_LEX["kernel"]),
@@ -69,6 +77,11 @@ def _cases():
         [*lex, "--word", "t^1048577 a"],
         ["verify-identities", "--count", "20", "--max-exp", str(10 ** 18)],
     ]
+    # nested conjugates: one lift of the conjugators' product, under one cap
+    cases += [["sign", "--cone", _nested(rng.randint(2, 4), lambda: [
+        ["a", _exp(rng)], ["b", _exp(rng)]]), "--word", _word(rng, "ab")] for _ in range(3)]
+    cases += [["sign", "--cone", _nested(n, lambda: [["a", 65536], ["b", 1]]),
+               "--word", "b"] for n in (1, 2, 6)]
     return cases
 
 

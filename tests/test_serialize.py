@@ -63,9 +63,7 @@ def _compact_cases():
         (ConjugateCone(SOL_LEX, t),
          {"kind": "conjugate", "by": [["t", 1]], "base": SOL_LEX_COMPACT}),
         (kernel_conj_cone(SOL, quad_kernel, t),
-         {"kind": "kernel_action", "g": [["t", 1]],
-          "base": {"kind": "quad_slope", "a": [[1, 0, 1, 0], [0, 1, 1, 2]],
-                   "sign": "+"}}),
+         {"kind": "quad_slope", "a": [[1, 0, 1, 0], [-3, -1, 1, 2]], "sign": "-"}),
         (restrict_cone(SOL_LEX, ses_kernel_embedding(SOL)),
          {"kind": "restriction",
           "embedding": {"type": "ses_kernel", "ses": ["semidirect"]},
