@@ -248,6 +248,7 @@ class _Lifted:
 
 
 _BASE0 = (0, 1, 1, 2)  # sqrt(2); irrational, so it never meets a rational pole
+PREFIX_MEMO_SYLLABLES = 64  # far above any ball word, far below a long word
 
 
 def _lift_of_matrix(mat: Mat2, delta=0) -> _Lifted:
@@ -335,22 +336,23 @@ class DynamicalCone(Cone):
         return out
 
     def _element(self, w: Word) -> _Lifted:
-        # peel syllables down to the longest memoized prefix, then compose
-        # forward one power at a time, memoizing each prefix so that ball
-        # words share them
-        memo, key, peeled = self._memo, w.syllables, []
-        while (out := memo.get(key)) is None and len(key) > 1:
-            peeled.append(key)
-            key = key[:-1]
-        if out is None:
-            out = self._power(*key[0]) if key else _lift_identity()
-        for key in reversed(peeled):
-            out = _lift_compose(out, self._power(*key[-1]))
+        # compose forward from the longest memoized prefix, one power at a
+        # time; prefixes of at most PREFIX_MEMO_SYLLABLES syllables are
+        # memoized, so ball words share them and a long word takes linear memory
+        memo, syls = self._memo, w.syllables
+        k, out = min(len(syls), PREFIX_MEMO_SYLLABLES), None
+        while k > 1 and (out := memo.get(syls[:k])) is None:
+            k -= 1
+        if out is None:     # k is 1, or 0 for the identity
+            out = self._power(*syls[0]) if syls else _lift_identity()
+        for k in range(k + 1, len(syls) + 1):
+            out = _lift_compose(out, self._power(*syls[k - 1]))
             # both factors were under the cap, so the work past it is one product
             if max(map(abs, out.mat)).bit_length() > LIFT_BITS_CAP:
                 raise ResourceLimitError(
-                    f"a lift of {len(key)} syllables passes {LIFT_BITS_CAP} bits")
-            memo[key] = out
+                    f"a lift of {k} syllables passes {LIFT_BITS_CAP} bits")
+            if k <= PREFIX_MEMO_SYLLABLES:
+                memo[syls[:k]] = out
         return out
 
     def _points(self, el: _Lifted):

@@ -24,11 +24,14 @@ of the syllables.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
-elements as id triples: a pair loop by default, a walk on free groups.
+elements as id triples: a pair loop by default, and a walk on any context
+whose law is free reduction (free groups, and free products of free factors
+such as ``zz-free``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -147,6 +150,7 @@ class GroupCtx:
     """Base class; subclasses provide a confluent normal form on syllables."""
 
     gen_names: tuple[str, ...]
+    _free_law = False   # whether the group law is free reduction on the letters
 
     # A family states its group law once: it overrides exactly one of
     # _normalize and _product, and each default derives from the other.
@@ -265,9 +269,13 @@ class GroupCtx:
         list; ``None`` means every id.  Triples come in ascending ``(u, v)``
         order, one ``u`` row at a time, and identity products are left out.
 
-        This default tries every pair through ``_product``.  With ``among``
-        None it reads the inverse ids, so ``gens`` must be symmetric.
+        A free law walks the ball when ``gens`` is None (``_walk_products``);
+        else every pair goes through ``_product``, and ``among`` None reads
+        the inverse ids, so ``gens`` must be symmetric.
         """
+        if gens is None and self._free_law:
+            yield from self._walk_products(r, among)
+            return
         index = self.ball_index(r, gens)
         syls = [w.syllables for w in index.domain]
         get, product = index.ids.get, self._product
@@ -295,6 +303,63 @@ class GroupCtx:
             for v, p in row:
                 yield u, v, p
 
+    def _walk_products(self, r, among):
+        """In-ball products walked directly: every candidate tried is output.
+
+        Write u = u'x and v = x^-1 y with no cancellation in u'y, so uv = u'y.
+        For each cancellation length |x|, y runs over the reduced words that
+        extend both x^-1 and u' inside the ball.  Past its first letter, y
+        extends two words that end in the same letter, and the ball words
+        below each of them list the same y's in shortlex order, so zipping
+        the two lists walks both at once and stops at the shorter (Epstein
+        et al., *Word Processing in Groups*, 1992, ch. 2-3).
+        """
+        index = self.ball_index(r)
+        ball = index.words      # node i is ball[i], id i - 1; node 0 is 1
+        # one int object per id, shared by every triple: the census search
+        # reads them in its innermost loop
+        ids = list(range(len(ball) - 1))
+        # letter 2g is g, 2g + 1 is g^-1; child[i][l] is the node of
+        # ball[i] * l when that is reduced and in the ball, else 0; below[i]
+        # lists the ids of the ball words that start with ball[i], in order
+        child = [[0] * (2 * len(self.gen_names)) for _ in ball]
+        parent, last = [0] * len(ball), [0] * len(ball)
+        below: list[list[int]] = [[] for _ in ball]
+        for i, w in enumerate(ball[1:], 1):
+            g, e = w.syllables[-1]   # the parent is w with its last letter cancelled
+            head = self._product(w.syllables, ((g, -1 if e > 0 else 1),))
+            parent[i], last[i] = index.ids.get(head, -1) + 1, 2 * g + (e < 0)
+            child[parent[i]][last[i]] = i
+            j = i
+            while j:
+                below[j].append(ids[i - 1])
+                j = parent[j]
+        if among is not None:
+            # picked[i]: the positions in below[i] of the ids in among, and those ids
+            keep = set(among)
+            picked = [([k for k, v in enumerate(b) if v in keep],
+                       [v for v in b if v in keep]) for b in below]
+        for u in ids if among is None else among:
+            row = []
+            xinv, head = 0, u + 1   # x^-1 and u' for |x| = 0, 1, ..., |u|
+            while True:
+                if xinv and head and (among is None or xinv - 1 in keep):
+                    row.append((ids[xinv - 1], ids[head - 1]))
+                for a, b in zip(child[xinv], child[head]):
+                    if a and b and among is None:
+                        row.extend(zip(below[a], below[b]))
+                    elif a and b:
+                        pos, vs = picked[a]
+                        n = bisect_left(pos, len(below[b]))
+                        row.extend(zip(vs[:n], map(below[b].__getitem__, pos[:n])))
+                if not head:
+                    break
+                xinv = child[xinv][last[head] ^ 1]
+                head = parent[head]
+            row.sort()
+            for v, p in row:
+                yield u, v, p
+
     def __repr__(self) -> str:
         return f"<{self.descriptor()['family']} on {','.join(self.gen_names)}>"
 
@@ -305,6 +370,7 @@ class GroupCtx:
 class FreeCtx(GroupCtx):
     rank: int
     gen_names: tuple[str, ...] = ()
+    _free_law = True
 
     def __post_init__(self):
         if not self.gen_names:
@@ -321,64 +387,6 @@ class FreeCtx(GroupCtx):
             i -= 1
             j += 1
         return a[:i] + b[j:]
-
-    def ball_products(self, r, gens=None, among=None):
-        """In-ball products walked directly: every candidate tried is output.
-
-        Write u = u'x and v = x^-1 y with no cancellation in u'y, so uv = u'y.
-        For each cancellation length |x|, y runs over the reduced words that
-        extend both x^-1 and u' inside the ball.  Past its first letter, y
-        extends two words that end in the same letter, and the ball words
-        below each of them list the same y's in shortlex order, so zipping
-        the two lists walks both at once and stops at the shorter (Epstein
-        et al., *Word Processing in Groups*, 1992, ch. 2-3).
-        """
-        if gens is not None:
-            yield from super().ball_products(r, gens, among)
-            return
-        ball = self.ball(r)     # node i is ball[i], id i - 1; node 0 is 1
-        # one int object per id, shared by every triple: the census search
-        # reads them in its innermost loop
-        ids = list(range(len(ball) - 1))
-        id_of = self.ball_index(r).ids
-        # letter 2g is g, 2g + 1 is g^-1; child[i][l] is the node of
-        # ball[i] * l when that is reduced and in the ball, else 0; below[i]
-        # lists the ids of the ball words that start with ball[i], in order
-        child = [[0] * (2 * self.rank) for _ in ball]
-        parent, last = [0] * len(ball), [0] * len(ball)
-        below: list[list[int]] = [[] for _ in ball]
-        for i, w in enumerate(ball[1:], 1):
-            s = w.syllables
-            g, e = s[-1]
-            if e in (1, -1):
-                head = s[:-1]
-            else:
-                head = s[:-1] + ((g, e - 1 if e > 0 else e + 1),)
-            parent[i], last[i] = id_of.get(head, -1) + 1, 2 * g + (e < 0)
-            child[parent[i]][last[i]] = i
-            j = i
-            while j:
-                below[j].append(ids[i - 1])
-                j = parent[j]
-        wanted = None if among is None else set(among)
-        for u in ids if among is None else among:
-            row = []
-            xinv, head = 0, u + 1   # x^-1 and u' for |x| = 0, 1, ..., |u|
-            while True:
-                if xinv and head:
-                    row.append((ids[xinv - 1], ids[head - 1]))
-                for a, b in zip(child[xinv], child[head]):
-                    if a and b:
-                        row.extend(zip(below[a], below[b]))
-                if not head:
-                    break
-                xinv = child[xinv][last[head] ^ 1]
-                head = parent[head]
-            if wanted is not None:
-                row = [vp for vp in row if vp[0] in wanted]
-            row.sort()
-            for v, p in row:
-                yield u, v, p
 
     def descriptor(self):
         return {"family": "free", "rank": self.rank,
@@ -402,6 +410,7 @@ class ZPowCtx(GroupCtx):
         if not self.gen_names:
             names = tuple(f"e{i + 1}" for i in range(self.rank))
             object.__setattr__(self, "gen_names", names)
+        object.__setattr__(self, "_free_law", self.rank <= 1)
 
     def _normalize(self, syllables):
         sums = {}
@@ -504,6 +513,9 @@ class _ProductCtx(GroupCtx):
         object.__setattr__(self, "offsets", tuple(offsets))
         # generator id -> factor, a derived table outside the dataclass fields
         object.__setattr__(self, "_factor", tuple(factor))
+        # a free product of free-law factors has the free law too
+        object.__setattr__(self, "_free_law", self.family == "free_product"
+                           and all(f._free_law for f in self.factors))
 
     def factor_of(self, g: int) -> int:
         if not 0 <= g < len(self._factor):
@@ -731,23 +743,16 @@ def direct_product_ses(dp: DirectProductCtx, kernel_factor: int = 0) -> ShortExa
     kf, qf = kernel_factor, 1 - kernel_factor
     kernel, quotient = dp.factors[kf], dp.factors[qf]
 
-    def inject(k):
-        return dp.embed_factor(kf, k)
-
-    def project(g):
-        return dp.factor_word(qf, g)
-
-    def section(h):
-        return dp.embed_factor(qf, h)
-
     def kernel_pull(g):
         if not dp.factor_word(qf, g).is_identity():
             raise BrokenSESError(f"{g!r} is not a kernel element")
         return dp.factor_word(kf, g)
 
-    return ShortExactSeq(kernel, dp, quotient, inject, project, section,
-                         kernel_pull,
-                         descriptor=("direct_product", kernel_factor))
+    return ShortExactSeq(kernel, dp, quotient,
+                         lambda k: dp.embed_factor(kf, k),   # inject
+                         lambda g: dp.factor_word(qf, g),    # project
+                         lambda h: dp.embed_factor(qf, h),   # section
+                         kernel_pull, descriptor=("direct_product", kernel_factor))
 
 
 def semidirect_ses(sd: SemidirectCtx) -> ShortExactSeq:
@@ -755,23 +760,14 @@ def semidirect_ses(sd: SemidirectCtx) -> ShortExactSeq:
     kernel = ZPowCtx(2, (sd.gen_names[0], sd.gen_names[1]))
     quotient = ZPowCtx(1, (sd.gen_names[2],))
 
-    def inject(k):
-        v = kernel.vector(k)
-        return sd.from_parts((v[0], v[1]), 0)
-
-    def project(g):
-        _, k = sd.parts(g)
-        return quotient.from_vector((k,))
-
-    def section(h):
-        (k,) = quotient.vector(h)
-        return sd.from_parts((0, 0), k)
-
     def kernel_pull(g):
         v, k = sd.parts(g)
         if k != 0:
             raise BrokenSESError(f"{g!r} is not a kernel element")
         return kernel.from_vector(v)
 
-    return ShortExactSeq(kernel, sd, quotient, inject, project, section,
+    return ShortExactSeq(kernel, sd, quotient,
+                         lambda k: sd.from_parts(kernel.vector(k), 0),           # inject
+                         lambda g: quotient.from_vector((sd.parts(g)[1],)),      # project
+                         lambda h: sd.from_parts((0, 0), quotient.vector(h)[0]),  # section
                          kernel_pull, descriptor=("semidirect",))

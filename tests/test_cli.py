@@ -229,7 +229,8 @@ SOL_LEX_CONE = ('{"kind":"lex","ses":"sol",'
                 '"quotient":{"kind":"zsign","sign":1}}')
 
 
-# whole stdout of the largest emits; equal to the perfbench pins of these jobs
+# whole stdout of the largest emits; the zz-free row runs the walk on a free
+# product, and every other row equals the perfbench pin of its job
 @pytest.mark.parametrize("argv,sha256", [
     (("census", "--group", "z2", "--r", "8"),
      "ae1cc742656adcc4ac6bd13c6551716d6702887e5f5c06a8bb6c5339c2305939"),
@@ -237,11 +238,13 @@ SOL_LEX_CONE = ('{"kind":"lex","ses":"sol",'
      "0b65074433f898754c063bca17b4e0844b63ef0e64c8e277b5aeae8f496684db"),
     (("census", "--group", "klein", "--r", "4", "--extend", "8"),
      "285fa03c7d62ea57e51c485198b8d50935fb4d7abff41d5c538ff831a84e149f"),
+    (("census", "--group", "zz-free", "--r", "2", "--extend", "5"),
+     "144fef7a26fe6b1f64c54ceab3a7c75eb73f23aa3c712075a247876c87a8ec32"),
     (("orbit", "--cone", SOL_LEX_CONE, "--conjugators", "t,a",
       "--max-size", "64"),
      "d98b943de06f151ecb17b5c39cb2bb37e4d429053b84238327fb3c7bd8a78899"),
 ], ids=["census-z2-r8", "census-z2-box-r3", "census-klein-r4-extend-8",
-        "orbit-sol-lex"])
+        "census-zz-free-r2-extend-5", "orbit-sol-lex"])
 def test_emit_bytes_pinned(capsys, argv, sha256):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,11 @@
-"""Huge exponents against the resource caps, one CLI process per case.
+"""Huge exponents and long words against the resource caps, one CLI process per case.
 
 Each case runs in a child process limited to 1 GiB of address space and 10
 CPU seconds.  Whatever the exponents, the CLI contract must hold: exit 0, 1
 or 2 and no traceback.  A power that would outgrow its cap must be refused
 (exit 2) before the work, not run into either limit.  Work sizes (counts,
-samples, radii) stay at small fixed values; only exponents are drawn.
+samples, radii) stay at small fixed values; only exponents are drawn.  A
+long word of small letters, under the same limits, must be signed (exit 0).
 """
 
 import json
@@ -91,12 +92,24 @@ def _limit():
     resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 
 
+def _run(argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "leftorder.cli", *argv], env=env,
+                          preexec_fn=_limit, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", _cases(), ids=lambda argv: " ".join(argv)[:60])
 def test_huge_exponents_keep_the_exit_contract(argv):
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-m", "leftorder.cli", *argv], env=env,
-                          preexec_fn=_limit, capture_output=True, text=True, timeout=60)
+    proc = _run(argv)
     assert proc.returncode in (0, 1, 2), proc.stderr[-500:]
     assert "Traceback" not in proc.stderr, proc.stderr[-500:]
     if proc.returncode == 2:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
+def test_long_dynamical_word_is_signed_in_linear_memory():
+    # 18,000 syllables with small lifts: only short prefixes are memoized
+    proc = _run(["sign", "--cone", '{"kind":"dynamical"}',
+                 "--word", " ".join(["a b^-1"] * 9000)])
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["result"] == {"sign": "-"}

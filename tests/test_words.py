@@ -529,6 +529,8 @@ def _pair_loop_products(ctx, r, gens=None, among=None):
 
 
 BOX = tuple(Z2.box_generators())
+F2_FREE_Z = FreeProductCtx((FreeCtx(2), ZPowCtx(1, ("z",))))
+KLEIN_FREE_Z = FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",))))
 
 
 @pytest.mark.parametrize("ctx,r,gens", [
@@ -537,10 +539,12 @@ BOX = tuple(Z2.box_generators())
     *[(FreeCtx(3), r, None) for r in range(4)],
     (ZPowCtx(1), 5, None), (Z2, 4, None), (Z2, 2, BOX), (KLEIN, 4, None),
     (SOL, 2, None), (ZXF2, 2, None), (ZXZ, 3, None),
+    (ZXZ, 4, None), (ZXZ, 5, None), (F2_FREE_Z, 3, None), (KLEIN_FREE_Z, 3, None),
     (F2, 3, tuple(F2.ball_generators())), (square_amalgam(), 4, None),
 ], ids=[*[f"f1-r{r}" for r in range(6)], *[f"f2-r{r}" for r in range(6)],
         *[f"f3-r{r}" for r in range(4)],
         "z-r5", "z2-r4", "z2-box-r2", "klein-r4", "sol-r2", "zxf2-r2", "zz-free-r3",
+        "zz-free-r4", "zz-free-r5", "f2-free-z-r3", "klein-free-z-r3",
         "f2-r3-gens", "square-amalgam-r4"])
 def test_ball_products_match_pair_loop(ctx, r, gens):
     # the list compares both the triple set and the ascending (u, v) order
@@ -559,6 +563,18 @@ def test_ball_products_need_symmetric_generators(ctx):
 
 def test_ball_products_free_count_r6():
     assert sum(1 for _ in F2.ball_products(6)) == 109356
+    assert sum(1 for _ in ZXZ.ball_products(6)) == 109356
+
+
+def test_walk_runs_on_free_laws_only():
+    # free groups, Z, and free products of such factors walk; the rest pair
+    assert "ball_products" not in vars(FreeCtx)
+    walks = [F2, FreeCtx(1), ZPowCtx(1), ZXZ, F2_FREE_Z,
+             FreeProductCtx((ZXZ, FreeCtx(1, ("c",))))]
+    pairs = [Z2, KLEIN, SOL, ZXF2, KLEIN_FREE_Z, square_amalgam(),
+             DirectProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))]
+    assert all(c._free_law for c in walks)
+    assert not any(c._free_law for c in pairs)
 
 
 # -- abelianization -----------------------------------------------------------
