@@ -158,11 +158,11 @@ class _Search:
 
 def enumerate_ball_cones(ctx: GroupCtx, r: int, gens=None,
                          cap: int = CENSUS_DOMAIN_CAP) -> list[BallCone]:
-    """All ball cones on B_r, in canonical order (shortlex on sign vectors)."""
+    """All ball cones on B_r in canonical order (+ before - at the first sign
+    that differs), which is the order in which the DFS finds them."""
     search = _Search(ctx, r, gens, cap)
     found: list[tuple[int, ...]] = []
     search.run(collect=found)
-    found.sort(key=lambda signs: tuple(0 if s == 1 else 1 for s in signs))
     domain = search.index.domain
     items = _serial_items(domain)
     return [BallCone(ctx, r, domain, signs, items) for signs in found]

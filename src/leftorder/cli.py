@@ -27,56 +27,24 @@ from .conrad import (
     ConradianReport, ConvexityReport, conradian_check, convexity_check,
     cyclic_subgroup,
 )
-from .errors import LeftOrderError, MalformedWordError
+from .errors import LeftOrderError
 from .freeprod import (
-    basis_word, conj_basis, expand, exponent_sum, kernel_decompose,
-    normal_closure_criterion,
+    basis_word, check_two_factor, conj_basis, conj_decomposed, expand,
+    exponent_sum, kernel_decompose, normal_closure_criterion,
 )
 from .serialize import (
-    cone_from_dict, cone_to_dict, ctx_from_dict, dumps, ses_from_dict,
-    to_json, word_from_pairs,
+    cone_from_dict, cone_to_dict, ctx_from_dict, dumps, kernel_letters,
+    ses_from_dict, to_json, witness_words, word_from_pairs,
 )
-from .words import FreeCtx, FreeProductCtx, GroupCtx, KleinCtx, ZPowCtx
-
-NAMED_GROUPS = {
-    "klein": lambda: KleinCtx(),
-    "z": lambda: ZPowCtx(1),
-    "z2": lambda: ZPowCtx(2),
-    "f2": lambda: FreeCtx(2),
-    "zz-free": lambda: FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))),
-    "sol": lambda: ses_from_dict("sol").total,
-    "zxf2": lambda: ses_from_dict("zxf2").total,
-}
+from .words import ZPowCtx
 
 
-def _group(spec: str) -> GroupCtx:
-    if spec in NAMED_GROUPS:
-        return NAMED_GROUPS[spec]()
-    return ctx_from_dict(json.loads(spec))
-
-
-def _word(ctx: GroupCtx, text: str):
-    text = text.strip()
-    if text.startswith("["):
-        return word_from_pairs(ctx, json.loads(text))
-    if text in ("1", ""):
-        return ctx.identity()
-    pairs = []
-    for token in text.replace("*", " ").split():
-        if "^" in token:
-            name, exp = token.split("^", 1)
-            pairs.append((name, int(exp)))
-        else:
-            pairs.append((token, 1))
-    return word_from_pairs(ctx, pairs)
-
-
-def _words(ctx: GroupCtx, text: str):
-    return [_word(ctx, part) for part in text.split(",") if part.strip()]
+def _words(ctx, text: str):
+    return [word_from_pairs(ctx, part) for part in text.split(",") if part.strip()]
 
 
 def _cone(args):
-    ctx = _group(args.group) if args.group else None
+    ctx = ctx_from_dict(args.group) if args.group else None
     return cone_from_dict(json.loads(args.cone), ctx)
 
 
@@ -95,7 +63,7 @@ def _emit(args, command: str, config: dict, result: dict, witnesses=()) -> None:
 
 def _cmd_sign(args) -> int:
     cone = _cone(args)
-    w = _word(cone.ctx, args.word)
+    w = word_from_pairs(cone.ctx, args.word)
     s = cone.sign(w)
     _emit(args, "sign", {"cone": cone_to_dict(cone), "word": w.pairs()},
           {"sign": "+" if s > 0 else "-"})
@@ -132,7 +100,7 @@ def _cmd_conradian(args) -> int:
 
 def _cmd_convexity(args) -> int:
     cone = _cone(args)
-    gen = _word(cone.ctx, args.subgroup)
+    gen = word_from_pairs(cone.ctx, args.subgroup)
     sub = cyclic_subgroup(cone.ctx, gen)
     rep = convexity_check(cone, sub, args.r)
     _emit(args, "convexity",
@@ -156,7 +124,7 @@ def _cmd_lex(args) -> int:
     cone = lex_cone(ses, kernel, quotient)
     result = {"cone": cone_to_dict(cone)}
     if args.word:
-        w = _word(ses.total, args.word)
+        w = word_from_pairs(ses.total, args.word)
         result["sign"] = "+" if cone.sign(w) > 0 else "-"
     _emit(args, "lex", {"ses": args.ses, "kernel": args.kernel,
                         "quotient": args.quotient, "word": args.word}, result)
@@ -164,8 +132,7 @@ def _cmd_lex(args) -> int:
 
 
 def _cmd_kernel_decompose(args) -> int:
-    ctx = _group(args.group)
-    w = _word(ctx, args.word)
+    w = word_from_pairs(ctx_from_dict(args.group), args.word)
     k = kernel_decompose(w)
     _emit(args, "kernel-decompose", {"group": args.group, "word": w.pairs()},
           {"basis": k.serial(), "expanded": expand(k).pairs()})
@@ -173,14 +140,13 @@ def _cmd_kernel_decompose(args) -> int:
 
 
 def _cmd_conj_basis(args) -> int:
-    ctx = _group(args.group)
-    gf, hf = ctx.factors
-    g = _word(gf, args.g)
-    h = _word(hf, args.h)
-    by = _word(ctx, args.by)
+    ctx = ctx_from_dict(args.group)
+    gf, hf = check_two_factor(ctx).factors
+    g = word_from_pairs(gf, args.g)
+    h = word_from_pairs(hf, args.h)
+    by = word_from_pairs(ctx, args.by)
     out = conj_basis(ctx, (g, h), by)
-    general = kernel_decompose(
-        ctx.conj(by, expand(basis_word(ctx, [(g, h, 1)]))))
+    general = conj_decomposed(ctx, (g, h), by)
     _emit(args, "conj-basis",
           {"group": args.group, "g": g.pairs(), "h": h.pairs(), "by": by.pairs()},
           {"basis": out.serial(), "expanded": expand(out).pairs(),
@@ -189,13 +155,9 @@ def _cmd_conj_basis(args) -> int:
 
 
 def _cmd_closure_criterion(args) -> int:
-    ctx = _group(args.group)
-    gf, hf = ctx.factors
-    letters = [(_word(gf, item["g"]), _word(hf, item["h"]), item["e"])
-               for item in json.loads(args.letters)]
-    k = basis_word(ctx, letters)
-    labels = [(_word(gf, item["g"]), _word(hf, item["h"]))
-              for item in json.loads(args.labels)]
+    ctx = ctx_from_dict(args.group)
+    k = basis_word(ctx, kernel_letters(ctx, json.loads(args.letters)))
+    labels = kernel_letters(ctx, json.loads(args.labels), exponent=False)
     res = normal_closure_criterion(k, labels)
     sums = {repr(label): exponent_sum(k, label) for label in labels}
     _emit(args, "closure-criterion",
@@ -216,7 +178,7 @@ def _amalgam_instance(name: str):
 def _cmd_amalgam_nf(args) -> int:
     ctx = _amalgam_instance(args.instance)
     # the word is read, and echoed, as spelled in Z * Z
-    w = _word(free_product_amalgam(), args.word)
+    w = word_from_pairs(free_product_amalgam(), args.word)
     core, letters = amalgam_normal_form(ctx, w.syllables)
     _emit(args, "amalgam-nf", {"instance": args.instance, "word": w.pairs()},
           {"core_exp": core, "letters": to_json(letters),
@@ -235,7 +197,7 @@ def _cmd_malnormal(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    ctx = _group(args.group)
+    ctx = ctx_from_dict(args.group)
     cap = int(os.environ.get("LEFTORDER_CENSUS_CAP", CENSUS_DOMAIN_CAP))
     gens = None
     if args.ball == "box":
@@ -257,7 +219,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    ctx = NAMED_GROUPS["zz-free"]()
+    ctx = ctx_from_dict("zz-free")
     gf, hf = ctx.factors
     rng, m = random.Random(args.seed), args.max_exp
     failures = []
@@ -270,9 +232,7 @@ def _cmd_verify_identities(args) -> int:
         for by_pairs in ((("a", a_exp),), (("b", b_exp),),
                          (("a", a_exp), ("b", b_exp))):
             by = ctx.word(list(by_pairs))
-            closed = conj_basis(ctx, label, by)
-            direct = ctx.conj(by, expand(basis_word(ctx, [(*label, 1)])))
-            if expand(closed) != direct:
+            if conj_basis(ctx, label, by) != conj_decomposed(ctx, label, by):
                 failures.append({"trial": trial, "by": by.pairs()})
     _emit(args, "verify-identities",
           {"count": args.count, "seed": args.seed, "max_exp": args.max_exp},
@@ -300,19 +260,6 @@ def _cmd_equivariance(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _witness_words(ctx: GroupCtx, witnesses, arity: int) -> list:
-    """Parse every witness into a tuple of ``arity`` words before any is checked."""
-    if not isinstance(witnesses, list):
-        raise MalformedWordError(f"witnesses {witnesses!r} are not a list")
-    out = []
-    for item in witnesses:
-        if not isinstance(item, list) or len(item) != arity:
-            raise MalformedWordError(
-                f"witness {item!r} is not a list of {arity} words")
-        out.append(tuple(word_from_pairs(ctx, p) for p in item))
-    return out
-
-
 def _cmd_verify_witness(args) -> int:
     try:
         doc = json.loads(args.report)
@@ -333,13 +280,13 @@ def _cmd_verify_witness(args) -> int:
         ok = to_json(check_cone_axioms_on_ball(cone, r)) == doc["result"]
     elif command == "conradian":
         cone = cone_from_dict(config["cone"])
-        found = _witness_words(cone.ctx, doc["witnesses"], 2)
+        found = witness_words(cone.ctx, doc["witnesses"], 2)
         ok = ConradianReport(False, 0, tuple(found)).certify(cone)
     elif command == "convexity":
         cone = cone_from_dict(config["cone"])
         sub = cyclic_subgroup(cone.ctx,
                               word_from_pairs(cone.ctx, config["subgroup"]))
-        found = _witness_words(cone.ctx, doc["witnesses"], 3)
+        found = witness_words(cone.ctx, doc["witnesses"], 3)
         ok = bool(found) and all(ConvexityReport(False, 0, w).certify(cone, sub)
                                  for w in found)
     elif command == "malnormal":
@@ -347,7 +294,7 @@ def _cmd_verify_witness(args) -> int:
         side = config["factor"]
         if type(side) is not int or side not in (0, 1):
             raise LeftOrderError(f"config factor {side!r} is not 0 or 1")
-        found = _witness_words(ctx, doc["witnesses"], 2)
+        found = witness_words(ctx, doc["witnesses"], 2)
         ok = bool(found) and all(
             MalnormalityReport(False, 0, side, w).certify(ctx) for w in found)
     else:
@@ -442,7 +389,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (LeftOrderError, json.JSONDecodeError, KeyError, ValueError,
-            OSError) as exc:
+            OSError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -110,15 +110,15 @@ def convexity_check(c: Cone, member, r: int) -> ConvexityReport:
     """
     ctx = c.ctx
     ball = ctx.ball(r)
-    members = [w for w in ball if member(w)]
-    outsiders = [w for w in ball if not member(w)]
-    for c1 in members:
-        for f in outsiders:
-            step1 = ctx.mul(ctx.inv(c1), f)
+    members = [(w, ctx.inv(w)) for w in ball if member(w)]
+    outsiders = [(w, ctx.inv(w)) for w in ball if not member(w)]
+    for c1, c1_inv in members:
+        for f, f_inv in outsiders:
+            step1 = ctx.mul(c1_inv, f)
             if step1.is_identity() or c.sign(step1) != 1:
                 continue
-            for c2 in members:
-                step2 = ctx.mul(ctx.inv(f), c2)
+            for c2, _ in members:
+                step2 = ctx.mul(f_inv, c2)
                 if step2.is_identity() or c.sign(step2) != 1:
                     continue
                 return ConvexityReport(False, r, (c1, f, c2))

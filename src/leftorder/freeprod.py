@@ -19,7 +19,7 @@ from .words import FreeProductCtx, Word
 Letter = tuple[Word, Word, int]
 
 
-def _check_two_factor(ctx) -> FreeProductCtx:
+def check_two_factor(ctx) -> FreeProductCtx:
     if not isinstance(ctx, FreeProductCtx) or len(ctx.factors) != 2:
         raise MalformedWordError("kernel machinery needs a two-factor free product")
     return ctx
@@ -56,7 +56,7 @@ class KernelBasisWord:
 
 
 def basis_word(ctx: FreeProductCtx, letters) -> KernelBasisWord:
-    ctx = _check_two_factor(ctx)
+    ctx = check_two_factor(ctx)
     normd = []
     for gl, hl, e in letters:
         normd.append((ctx.factors[0].normalize(gl), ctx.factors[1].normalize(hl), e))
@@ -65,14 +65,14 @@ def basis_word(ctx: FreeProductCtx, letters) -> KernelBasisWord:
 
 def fp_project(w: Word) -> tuple[Word, Word]:
     """Image of w under the two factor retractions; kernel iff both trivial."""
-    ctx = _check_two_factor(w.ctx)
+    ctx = check_two_factor(w.ctx)
     return ctx.factor_word(0, w), ctx.factor_word(1, w)
 
 
 def kernel_decompose(w: Word) -> KernelBasisWord:
     """Express a kernel element in the commutator basis by left-to-right peeling,
     one syllable at a time."""
-    ctx = _check_two_factor(w.ctx)
+    ctx = check_two_factor(w.ctx)
     g_part, h_part = fp_project(w)
     if not (g_part.is_identity() and h_part.is_identity()):
         raise NotInKernelError(f"{w!r} projects to ({g_part!r}, {h_part!r})")
@@ -112,7 +112,7 @@ def conj_basis(ctx: FreeProductCtx, label: tuple[Word, Word],
     use the closed-form rewriting; anything else expands and re-decomposes.
     Degenerate letters vanish under the x[1,.] = x[.,1] = 1 convention.
     """
-    ctx = _check_two_factor(ctx)
+    ctx = check_two_factor(ctx)
     gf, hf = ctx.factors
     g = gf.normalize(label[0])
     h = hf.normalize(label[1])
@@ -135,7 +135,13 @@ def conj_basis(ctx: FreeProductCtx, label: tuple[Word, Word],
                                 (gf.mul(a, g), b, -1),
                                 (gf.mul(a, g), hf.mul(b, h), 1),
                                 (a, hf.mul(b, h), -1)])
-    return kernel_decompose(ctx.conj(by, expand(basis_word(ctx, [(g, h, 1)]))))
+    return conj_decomposed(ctx, (g, h), by)
+
+
+def conj_decomposed(ctx: FreeProductCtx, label: tuple[Word, Word],
+                    by: Word) -> KernelBasisWord:
+    """x[g,h] conjugated by ``by`` as a group word, decomposed again."""
+    return kernel_decompose(ctx.conj(by, expand(basis_word(ctx, [(*label, 1)]))))
 
 
 def exponent_sum(k: KernelBasisWord, label: tuple[Word, Word]) -> int:

@@ -1,6 +1,11 @@
 """The one JSON codec for contexts, words, short exact sequences, cones and results.
 
-Readers check each shape and raise ``LeftOrderError`` on a bad one.
+Every CLI input is read here: groups (``ctx_from_dict``, a name, JSON text or
+an object), short exact sequences (``ses_from_dict``), words
+(``word_from_pairs``, pairs or their text), cones (``cone_from_dict``),
+kernel letters and labels (``kernel_letters``) and report witnesses
+(``witness_words``).  Readers check each shape and raise ``LeftOrderError``
+on a bad one.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .cones import (
     slope_cone, z_cone,
 )
 from .errors import LeftOrderError, MalformedWordError
+from .freeprod import check_two_factor
 from .surd import Mat2, QuadNum, mat2, quad
 from .words import (
     BALL_ELEMENT_CAP, DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx,
@@ -59,7 +65,10 @@ def _names(d: dict, count: int) -> tuple:
     return tuple(names)
 
 
-def ctx_from_dict(d: dict) -> GroupCtx:
+def ctx_from_dict(d) -> GroupCtx:
+    """Group from a name in ``NAMED_GROUPS``, JSON text, or an object with a ``family``."""
+    if isinstance(d, str):
+        return ctx_from_dict(NAMED_GROUPS[d] if d in NAMED_GROUPS else json.loads(d))
     _need(isinstance(d, dict), f"group descriptor {d!r} is not an object")
     fam = d.get("family")
     if fam in ("free", "zpow"):
@@ -82,7 +91,15 @@ def ctx_from_dict(d: dict) -> GroupCtx:
 
 
 def word_from_pairs(ctx: GroupCtx, pairs) -> Word:
-    """Word from JSON pairs [name-or-index, exponent]; the shapes are checked here."""
+    """Word from JSON pairs [name-or-index, exponent], or from text: the pairs
+    as JSON, ``1`` or nothing for the identity, or tokens ``a^2*b^-1``."""
+    if isinstance(pairs, str):
+        text = pairs.strip()
+        if text in ("1", ""):
+            return ctx.identity()
+        pairs = json.loads(text) if text.startswith("[") else [
+            (name, int(exp) if caret else 1) for name, caret, exp in
+            (token.partition("^") for token in text.replace("*", " ").split())]
     if not isinstance(pairs, (list, tuple)):
         raise MalformedWordError(f"word {pairs!r} is not a list of pairs")
     for p in pairs:
@@ -92,6 +109,24 @@ def word_from_pairs(ctx: GroupCtx, pairs) -> Word:
             raise MalformedWordError(
                 f"syllable {p!r} is not a [generator, integer exponent] pair")
     return ctx.word([(g, e) for g, e in pairs])
+
+
+def witness_words(ctx: GroupCtx, witnesses, arity: int) -> list:
+    """Every witness of a report as ``arity`` words, all read before any is checked."""
+    return [tuple(word_from_pairs(ctx, w) for w in _list(item, arity, "witness"))
+            for item in _list(witnesses, None, "witnesses")]
+
+
+def kernel_letters(ctx: GroupCtx, items, exponent: bool = True) -> list:
+    """Kernel letters ``{"g", "h", "e"}``, as ``KernelBasisWord.serial`` writes
+    them, or with ``exponent=False`` labels ``{"g", "h"}``."""
+    gf, hf = check_two_factor(ctx).factors
+    what = "words g, h and an integer e" if exponent else "words g and h"
+    for x in _list(items, None, "letters"):
+        _need(isinstance(x, dict) and "g" in x and "h" in x
+              and (not exponent or type(x.get("e")) is int), f"letter {x!r} needs {what}")
+    return [(word_from_pairs(gf, x["g"]), word_from_pairs(hf, x["h"]))
+            + ((x["e"],) if exponent else ()) for x in items]
 
 
 NAMED_SES = {
@@ -104,6 +139,17 @@ NAMED_SES = {
                 "factors": [{"family": "zpow", "rank": 1, "gens": ["z"]},
                             {"family": "klein", "gens": ["x", "y"]}],
                 "kernel_factor": 0},
+}
+
+# the extension groups are the totals of the named sequences
+NAMED_GROUPS = {
+    "klein": {"family": "klein"},
+    "z": {"family": "zpow", "rank": 1},
+    "z2": {"family": "zpow", "rank": 2},
+    "f2": {"family": "free", "rank": 2},
+    "zz-free": {"family": "free_product", "factors": [
+        {"family": "zpow", "rank": 1, "gens": [name]} for name in "ab"]},
+    **{name: {**d, "family": d["type"]} for name, d in NAMED_SES.items()},
 }
 
 

@@ -8,9 +8,10 @@ from leftorder.actions import (
 )
 from leftorder.cones import (
     ConjugateCone, DynamicalCone, Embedding, KleinCone, QuadSlopeCone,
-    RestrictionCone, detect_slope, dynamical_cone, lex_cone, quad_slope_cone,
-    restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
+    RestrictionCone, cyclic_embedding, detect_slope, dynamical_cone, lex_cone,
+    quad_slope_cone, restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
+from leftorder.conrad import conradian_check
 from leftorder.errors import OrbitUndecidedError
 from leftorder.serialize import cone_from_dict, cone_to_dict
 from leftorder.surd import MAT_IDENTITY, Mat2, mat2, mobius_apply, rational, sqrt_of
@@ -244,6 +245,45 @@ def test_conjugates_of_an_opaque_base_fold_into_one_wrapper():
         for v in ctx.ball(2)[1:]:
             if not ctx.mul(u, v).is_identity():
                 assert nested.sign_of_product([u, v]) == nested.sign(ctx.mul(u, v))
+
+
+@pytest.mark.parametrize("base, by", [
+    ({"kind": "klein", "ex": 1, "ey": -1}, [["x", 1], ["y", 1]]),
+    ({"kind": "dynamical"}, [["a", 1], ["b", -1]]),
+])
+def test_conradian_of_a_read_conjugate_signs_through_its_descriptor(base, by):
+    # a read `conjugate` is a wrapper whose products sign through conj_cone's descriptor
+    read = cone_from_dict({"kind": "conjugate", "base": base, "by": by})
+    assert isinstance(read, ConjugateCone)
+    assert not isinstance(read.simplified(), ConjugateCone)
+    want = conj_cone(read.base, read.by)
+    assert (conradian_check(read, 3, collect_all=True)
+            == conradian_check(want, 3, collect_all=True))
+
+
+def test_restriction_simplifies_a_wrapped_base():
+    dyn = dynamical_cone()
+    a, b = dyn.ctx.gens()
+    emb = cyclic_embedding(dyn.ctx, b * a)
+    restricted = restrict_cone(ConjugateCone(dyn, a), emb)
+    s = restricted.simplified()
+    assert s == RestrictionCone(conj_cone(dyn, a), emb)
+    assert s.base is restricted.base.simplified()
+    for w in restricted.ctx.ball(4)[1:]:
+        assert s.sign(w) == restricted.sign(w), w
+
+
+def test_lex_cones_differing_only_in_the_quotient_are_distinct():
+    # equal kernels: neither the kernel ball scan nor the slope candidates part
+    # them, so the witness is a section word
+    kernel = slope_cone((1, 0), "++", SOL_SES.kernel)
+    up = lex_cone(SOL_SES, kernel, z_cone(ctx=SOL_SES.quotient))
+    down = lex_cone(SOL_SES, kernel, z_cone(False, SOL_SES.quotient))
+    res = cone_equal(up, down, "exact")
+    assert res.verdict == "distinct"
+    v, k = SOL.parts(res.witness)
+    assert v == (0, 0) and k != 0
+    assert up.sign(res.witness) != down.sign(res.witness)
 
 
 def test_cone_equal_exact_on_equal_dynamical_descriptors():

@@ -291,3 +291,15 @@ def test_census_digest_hashes_the_compact_serials(cones):
     assert census_digest(cones) == {
         "count": len(cones),
         "sha256": hashlib.sha256(payload.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("ctx, r, gens", [
+    (Z2, 8, None), (KLEIN, 10, None), (Z2, 3, BOX), (F2, 2, None),
+    (FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",)))), 2, None),
+], ids=["z2-r8", "klein-r10", "z2-box-r3", "f2-r2", "zz-free-r2"])
+def test_enumeration_comes_out_in_canonical_order(ctx, r, gens):
+    # the DFS decides the first unassigned element + first, so two cones agree
+    # below the first decision that parts them and the + one is found first
+    keys = [tuple(s != 1 for s in c.signs)
+            for c in enumerate_ball_cones(ctx, r, gens=gens)]
+    assert len(keys) > 1 and keys == sorted(set(keys))

@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 from leftorder.cli import main
-from leftorder.serialize import cone_from_dict, cone_to_dict, ses_from_dict
+from leftorder.serialize import (
+    cone_from_dict, cone_to_dict, ctx_from_dict, ses_from_dict, word_from_pairs,
+)
 from leftorder.cones import (
     ConjugateCone, KleinCone, cyclic_embedding, dynamical_cone, lex_cone,
     quad_slope_cone, restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.actions import conj_cone
 from leftorder.surd import rational, sqrt_of
-from leftorder.words import KleinCtx
+from leftorder.words import FreeCtx, KleinCtx
 
 
 def run(capsys, *argv):
@@ -556,3 +558,80 @@ def test_traced_benchmark_job_runs():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["error"] is None
     assert report["exit"] == 0
+
+
+# -- inputs read by serialize's shape-checked readers ---------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("conj-basis", "--group", "f2", "--g", "a", "--h", "b", "--by", "a"),
+    ("conj-basis", "--group", "z2", "--g", "e1", "--h", "e2", "--by", "e1"),
+    ("closure-criterion", "--group", "f2", "--letters", "[]", "--labels", "[]"),
+    ("closure-criterion", "--letters", "[5]", "--labels", "[]"),
+    ("closure-criterion", "--letters", '[{"g":"a","h":"b","e":"x"}]',
+     "--labels", "[]"),
+    ("closure-criterion", "--letters", '[{"g":"a","h":"b","e":true}]',
+     "--labels", "[]"),
+    ("closure-criterion", "--letters", '[{"g":"a","e":1}]', "--labels", "[]"),
+    ("closure-criterion", "--letters", "[]", "--labels", '[{"g":"a"}]'),
+    ("closure-criterion", "--letters", "{}", "--labels", "[]"),
+])
+def test_kernel_inputs_of_the_wrong_shape_exit_2(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_closure_criterion_letters_read_as_pairs_or_text(capsys):
+    results = []
+    for g in ([["a", 3]], "a^3", '[["a", 3]]'):
+        letters = json.dumps([{"g": g, "h": "b", "e": 1}])
+        code, doc = run(capsys, "closure-criterion", "--letters", letters,
+                        "--labels", '[{"g":"a","h":"b"}]')
+        assert code == 1
+        results.append(doc["result"])
+    assert results[0] == results[1] == results[2]
+
+
+def _nested_conjugates(levels):
+    return ('{"kind":"conjugate","by":[["x",1]],"base":' * levels
+            + '{"kind":"klein","ex":1,"ey":1}' + "}" * levels)
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(capsys):
+    code = main(["sign", "--cone", _nested_conjugates(2000), "--word", "x"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, doc = run(capsys, "sign", "--cone", _nested_conjugates(900), "--word", "x")
+    assert code == 0 and doc["result"]["sign"] == "+"
+
+
+def test_named_extension_groups_are_the_named_sequences(capsys):
+    for name in ("sol", "zxf2", "zxklein"):
+        assert ctx_from_dict(name) == ses_from_dict(name).total
+    code, doc = run(capsys, "census", "--group", "zxklein", "--r", "1")
+    assert code == 0 and doc["result"]["count"] > 0
+
+
+def test_group_is_a_name_json_text_or_an_object(capsys):
+    klein = {"family": "klein", "gens": ["x", "y"]}
+    assert (ctx_from_dict("klein") == ctx_from_dict(json.dumps(klein))
+            == ctx_from_dict(klein) == KleinCtx())
+    docs = [run(capsys, "census", "--group", g, "--r", "2")[1]["result"]
+            for g in ("klein", json.dumps(klein))]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("a^2*b^-1", [["a", 2], ["b", -1]]),
+    ("  a^2 b^-1 a ", [["a", 2], ["b", -1], ["a", 1]]),
+    ('[["b", 3]]', [["b", 3]]),
+    ("1", []), ("", []), ("a a^-1", []),
+])
+def test_word_text_forms(text, pairs):
+    assert word_from_pairs(FreeCtx(2), text).pairs() == pairs
+
+
+def test_word_text_with_a_bad_exponent_exits_2(capsys):
+    code = main(["sign", "--cone", '{"kind":"dynamical"}', "--word", "a^x"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
