@@ -247,10 +247,8 @@ def _cmd_equivariance(args) -> int:
     conjugators = _words(ses.total, args.conjugators)
     rng = random.Random(args.seed)
     kernel_cone = cone_from_dict(json.loads(args.kernel), ses.kernel)
-    samples = []
-    for _ in range(args.samples):
-        g = conjugators[rng.randrange(len(conjugators))]
-        samples.append((g, kernel_cone))
+    samples = ((conjugators[rng.randrange(len(conjugators))], kernel_cone)
+               for _ in range(args.samples))
     rep = equivariance_check(theta, ses, samples, args.r)
     _emit(args, "equivariance",
           {"ses": args.ses, "theta": args.theta_const, "kernel": args.kernel,

@@ -24,8 +24,8 @@ from .surd import (
     primitive_vec, quad, rational, repeated_squaring, sqrt_of,
 )
 from .words import (
-    DirectProductCtx, FreeCtx, GroupCtx, KleinCtx, SemidirectCtx, ShortExactSeq,
-    Word, ZPowCtx,
+    BALL_ELEMENT_CAP, DirectProductCtx, FreeCtx, GroupCtx, KleinCtx, SemidirectCtx,
+    ShortExactSeq, Word, ZPowCtx,
 )
 
 
@@ -226,54 +226,44 @@ def lex_cone(ses: ShortExactSeq, kernel_cone: Cone, quotient_cone: Cone) -> LexC
 # -- dynamical cone on the free group ---------------------------------------------
 
 class _Lifted:
-    """Element of the lifted Mobius group: matrix plus deck offset.
+    """Element of the lifted Mobius group: a det-1 matrix plus a deck offset.
 
     Acts on the ordered universal cover of the projective line by
     (x, n) -> (Mx, n + crossing_M(x) + delta), which is
-    ``mobius_cover(mat, x, n + delta)``.  The crossing lift of a product
-    differs from the product of crossing lifts by a constant deck shift, so
-    composition only needs one exact evaluation point.  ``pts`` and
-    ``inv_pts`` cache the images of the owning cone's basepoints under the
-    element and under its inverse, filled on first use.
+    ``mobius_cover(mat, x, n + delta)``.  ``pts`` and ``inv_pts`` cache the
+    images of the owning cone's basepoints under the element and under its
+    inverse, filled on first use.
     """
 
-    __slots__ = ("mat", "delta", "img0", "cross0", "pts", "inv_pts")
+    __slots__ = ("mat", "delta", "pts", "inv_pts")
 
-    def __init__(self, mat, delta, img0, cross0):
+    def __init__(self, mat, delta=0):
         self.mat = mat
         self.delta = delta
-        self.img0 = img0
-        self.cross0 = cross0
         self.pts = self.inv_pts = None
 
 
-_BASE0 = (0, 1, 1, 2)  # sqrt(2); irrational, so it never meets a rational pole
 PREFIX_MEMO_SYLLABLES = 64  # far above any ball word, far below a long word
 
 
-def _lift_of_matrix(mat: Mat2, delta=0) -> _Lifted:
-    return _Lifted(mat, delta, *mobius_cover(mat, _BASE0))
-
-
-def _lift_identity() -> _Lifted:
-    return _lift_of_matrix(MAT_IDENTITY)
-
-
 def _lift_compose(e1: _Lifted, e2: _Lifted) -> _Lifted:
-    """Element acting as e1 after e2."""
-    m = e1.mat @ e2.mat
-    # the product sends the base point where e1 sends e2's image of it
-    img0, sheet = mobius_cover(e1.mat, e2.img0, e2.cross0 + e2.delta + e1.delta)
-    cross0 = mobius_cover(m, _BASE0)[1]
-    return _Lifted(m, sheet - cross0, img0, cross0)
+    """Element acting as e1 after e2: the crossing lift of the product,
+    shifted by the sheets s of the Euler cocycle.
+
+    As x -> -inf neither e2 nor the product crosses, and for c2 != 0 the
+    point e2 x falls to a2/c2 from above, which e1 crosses iff
+    a2/c2 >= -d1/c1, that is iff c12 = c1 a2 + d1 c2 is 0 or has the sign
+    of c1 c2.  For c2 = 0, e2 x goes to -inf and nothing crosses.
+    """
+    (_, _, c1, d1), (a2, _, c2, _) = e1.mat, e2.mat
+    c12 = c1 * a2 + d1 * c2
+    s = c1 != 0 and c2 != 0 and (c12 == 0 or _sgn(c12) == _sgn(c1) * _sgn(c2))
+    return _Lifted(e1.mat @ e2.mat, e1.delta + e2.delta + s)
 
 
 def _lift_inverse(e: _Lifted) -> _Lifted:
-    minv = e.mat.inverse()
-    # delta' solves (minv, delta') (m, delta) = identity: the inverse sends
-    # e's image of the base point back to sheet 0
-    sheet = mobius_cover(minv, e.img0, e.cross0 + e.delta)[1]
-    return _lift_of_matrix(minv, -sheet)
+    # (m^-1, delta') after (m, delta) is shifted by [c != 0] sheets
+    return _Lifted(e.mat.inverse(), -e.delta - (e.mat.c != 0))
 
 
 def _cmp_points(pt1, pt2) -> int:
@@ -317,7 +307,7 @@ class DynamicalCone(Cone):
         if lifted is None:
             lifted = {}
             for i, m in enumerate(self.images):
-                e = _lift_of_matrix(m)
+                e = _Lifted(m)
                 lifted[(i, 1)] = e
                 lifted[(i, -1)] = _lift_inverse(e)
             self._memo["letters"] = lifted
@@ -332,7 +322,7 @@ class DynamicalCone(Cone):
             letter = self._letters()[(g, 1 if e > 0 else -1)]
             letter.mat.check_growth(abs(e), LIFT_BITS_CAP)
             out = memo[key] = repeated_squaring(letter, abs(e), _lift_compose,
-                                                _lift_identity())
+                                                _Lifted(MAT_IDENTITY))
         return out
 
     def _element(self, w: Word) -> _Lifted:
@@ -344,7 +334,7 @@ class DynamicalCone(Cone):
         while k > 1 and (out := memo.get(syls[:k])) is None:
             k -= 1
         if out is None:     # k is 1, or 0 for the identity
-            out = self._power(*syls[0]) if syls else _lift_identity()
+            out = self._power(*syls[0]) if syls else _Lifted(MAT_IDENTITY)
         for k in range(k + 1, len(syls) + 1):
             out = _lift_compose(out, self._power(*syls[k - 1]))
             # both factors were under the cap, so the work past it is one product
@@ -436,7 +426,7 @@ class ConjugateCone(Cone):
 
     @property
     def ctx(self) -> GroupCtx:
-        return self.base.ctx
+        return self.by.ctx  # the base's group, read without walking a nested base
 
     def simplified(self) -> Cone:
         memo = vars(self)
@@ -680,6 +670,9 @@ def detect_slope(c: Cone, r: int = 8) -> DetectResult:
 
 
 def _scan_sector(c: Cone, r: int):
+    if (2 * r + 1) ** 2 > BALL_ELEMENT_CAP:
+        raise ResourceLimitError(
+            f"slope scan of radius {r} exceeds cap of {BALL_ELEMENT_CAP} candidates")
     vecs = _angular_sorted_primitives(r)
     ctx = c.ctx
     signs = [c.sign(ctx.from_vector(v)) for v in vecs]

@@ -33,16 +33,17 @@ from .words import (
 SURD_RADICAND_CAP = 10 ** 6
 
 
-def _need(ok: bool, what: str) -> None:
+def _need(ok: bool, what: str, *args) -> None:
+    """Raise ``what.format(*args)`` unless ``ok``; the message is built only then."""
     if not ok:
-        raise LeftOrderError(what)
+        raise LeftOrderError(what.format(*args))
 
 
 def _list(v, n: int | None, what: str, of: type | None = None):
     """``v``, when it is a list of ``n`` items (any number for None) of type ``of``."""
     _need(isinstance(v, (list, tuple)) and n in (None, len(v))
           and all(of is None or type(x) is of for x in v),
-          f"{what} {v!r} has the wrong shape")
+          "{} {!r} has the wrong shape", what, v)
     return v
 
 
@@ -53,7 +54,7 @@ def _mat(rows) -> Mat2:
 def _quad(v) -> QuadNum:
     p, q, r, d = _list(v, 4, "surd [p, q, r, d]", int)
     _need(r != 0 and 0 <= d <= SURD_RADICAND_CAP,
-          f"surd {v!r} needs r != 0 and 0 <= d <= {SURD_RADICAND_CAP}")
+          "surd {!r} needs r != 0 and 0 <= d <= {}", v, SURD_RADICAND_CAP)
     return quad(p, q, r, d)
 
 
@@ -61,7 +62,7 @@ def _names(d: dict, count: int) -> tuple:
     """The ``gens`` of a group descriptor: none, or ``count`` distinct strings."""
     names = _list(d.get("gens") or (), None, "gens", str)
     _need(len(names) in (0, count) and len(set(names)) == len(names),
-          f"gens {names!r} are not {count} distinct names")
+          "gens {!r} are not {} distinct names", names, count)
     return tuple(names)
 
 
@@ -69,14 +70,14 @@ def ctx_from_dict(d) -> GroupCtx:
     """Group from a name in ``NAMED_GROUPS``, JSON text, or an object with a ``family``."""
     if isinstance(d, str):
         return ctx_from_dict(NAMED_GROUPS[d] if d in NAMED_GROUPS else json.loads(d))
-    _need(isinstance(d, dict), f"group descriptor {d!r} is not an object")
+    _need(isinstance(d, dict), "group descriptor {!r} is not an object", d)
     fam = d.get("family")
     if fam in ("free", "zpow"):
         rank = d.get("rank")
-        _need(type(rank) is int and rank >= 0, f"rank {rank!r} is not a natural number")
+        _need(type(rank) is int and rank >= 0, "rank {!r} is not a natural number", rank)
         names = _names(d, rank)
         _need(names or rank <= (8 if fam == "free" else BALL_ELEMENT_CAP),
-              f"a {fam} group of rank {rank} needs its gens named")
+              "a {} group of rank {} needs its gens named", fam, rank)
         return (FreeCtx if fam == "free" else ZPowCtx)(rank, names)
     if fam == "klein":
         return KleinCtx(_names(d, 2) or ("x", "y"))
@@ -124,7 +125,7 @@ def kernel_letters(ctx: GroupCtx, items, exponent: bool = True) -> list:
     what = "words g, h and an integer e" if exponent else "words g and h"
     for x in _list(items, None, "letters"):
         _need(isinstance(x, dict) and "g" in x and "h" in x
-              and (not exponent or type(x.get("e")) is int), f"letter {x!r} needs {what}")
+              and (not exponent or type(x.get("e")) is int), "letter {!r} needs {}", x, what)
     return [(word_from_pairs(gf, x["g"]), word_from_pairs(hf, x["h"]))
             + ((x["e"],) if exponent else ()) for x in items]
 
@@ -169,9 +170,9 @@ def ses_from_dict(d) -> ShortExactSeq:
     """SES from a name in ``NAMED_SES``, JSON text, or an object with a ``type``."""
     if isinstance(d, str):
         return ses_from_dict(NAMED_SES[d] if d in NAMED_SES else json.loads(d))
-    _need(isinstance(d, dict), f"ses descriptor {d!r} is not an object")
+    _need(isinstance(d, dict), "ses descriptor {!r} is not an object", d)
     kind = d.get("type")
-    _need(kind in ("semidirect", "direct_product"), f"unknown ses type {kind!r}")
+    _need(kind in ("semidirect", "direct_product"), "unknown ses type {!r}", kind)
     ctx = ctx_from_dict({**d, "family": kind})  # reads only the group's keys
     if kind == "semidirect":
         return semidirect_ses(ctx)
@@ -347,7 +348,7 @@ def dumps(doc) -> str:
 
 def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
     """Rebuild a cone; ``ctx`` supplies the context when the dict omits it."""
-    _need(isinstance(d, dict), f"cone descriptor {d!r} is not an object")
+    _need(isinstance(d, dict), "cone descriptor {!r} is not an object", d)
     kind = d["kind"]
     if "ctx" in d:
         ctx = ctx_from_dict(d["ctx"])
@@ -358,7 +359,7 @@ def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
         return quad_slope_cone(a, d["sign"], ctx)
     if kind == "zsign":
         sign = d.get("sign", 1)
-        _need(type(sign) is int and sign != 0, f"sign {sign!r} is not a nonzero integer")
+        _need(type(sign) is int and sign != 0, "sign {!r} is not a nonzero integer", sign)
         return z_cone(sign > 0, ctx)
     if kind == "klein":
         return KleinCone(ctx or KleinCtx(), d["ex"], d["ey"])
@@ -379,7 +380,7 @@ def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
     if kind == "restriction":
         base = cone_from_dict(d["base"], ctx)
         emb = d["embedding"]
-        _need(isinstance(emb, dict), f"embedding {emb!r} is not an object")
+        _need(isinstance(emb, dict), "embedding {!r} is not an object", emb)
         if emb.get("type") == "ses_kernel":
             _need(isinstance(base, LexCone), "ses_kernel restriction needs a lex base")
             return RestrictionCone(base, ses_kernel_embedding(base.ses))

@@ -19,9 +19,9 @@ from .errors import (
 LT, EQ, GT = -1, 0, 1
 
 # Fixed bit caps of Mat2.check_growth: POWER_BITS_CAP for a matrix power, and
-# the lower LIFT_BITS_CAP for a dynamical cone's lift g^e, whose products also
-# carry an exact surd point and gcd-reduce it.  Each admits powers that take
-# about a second as a whole CLI process.
+# the lower LIFT_BITS_CAP for a dynamical cone's lift g^e, since a sign
+# evaluates and gcd-reduces a surd point under the lift.  Each admits powers
+# that take about a second as a whole CLI process.
 POWER_BITS_CAP = 1 << 21
 LIFT_BITS_CAP = 1 << 17
 

@@ -408,6 +408,17 @@ def test_equivariance_command(capsys):
     assert doc["result"]["ok"] is True
 
 
+def test_equivariance_samples_keep_their_stream(capsys):
+    # the identity conjugator keeps the cone and a moves it, so the first
+    # sample that draws a is the witness: its index pins the random stream
+    for seed, sample in ((0, 0), (1, 4), (2, 10)):
+        code, doc = run(capsys, "equivariance", "--ses", "zxf2",
+                        "--theta-const", '{"kind":"dynamical"}',
+                        "--kernel", '{"kind":"zsign","sign":1}',
+                        "--conjugators", "1,1,1,a", "--samples", "20", "--seed", str(seed))
+        assert code == 1 and doc["result"]["witness"]["sample"] == sample
+
+
 def test_unknown_descriptor_exits_2(capsys):
     code, _ = run(capsys, "sign", "--cone", '{"kind":"nope"}', "--word", "x")
     assert code == 2

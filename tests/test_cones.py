@@ -13,7 +13,7 @@ from leftorder.errors import (
     ResourceLimitError, WrongConstructorError,
 )
 from leftorder.surd import (
-    LIFT_BITS_CAP, Mat2, mat2, quad, rational, sign_int_surd, sqrt_of,
+    LIFT_BITS_CAP, Mat2, mat2, mobius_cover, quad, rational, sign_int_surd, sqrt_of,
 )
 from leftorder.words import (
     DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, Word, ZPowCtx,
@@ -245,6 +245,55 @@ def test_dynamical_power_sign_matches_letter_by_letter():
             el = _lift_compose(el, letters[step])
         expected = fresh._sign_of_element(el)
         assert fresh.sign(w) == shared.sign(w) == expected, w
+
+
+def _det1(rng):
+    """A seeded det-1 matrix with entries in [-9, 9]; c = 0 about a fifth of the time."""
+    while True:
+        if rng.random() < 0.2:
+            e = rng.choice((-1, 1))
+            return Mat2(e, rng.randint(-9, 9), 0, e)
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        if a * d - b * c == 1:
+            return Mat2(a, b, c, d)
+
+
+def _lift_pairs(rng, count):
+    """Seeded det-1 pairs: random ones, m with m^-1, and m with m^-1 u for
+    u = +-[[1, k], [0, 1]], whose product has c12 = 0 whatever the sign of c1 c2."""
+    pairs = []
+    for _ in range(count):
+        m = _det1(rng)
+        e, k = rng.choice((-1, 1)), rng.randint(-9, 9)
+        pairs += [(m, _det1(rng)), (m, m.inverse()), (m, m.inverse() @ Mat2(e, e * k, 0, e))]
+    return pairs
+
+
+def test_lift_product_and_inverse_act_on_the_cover():
+    # the reference is the action alone: (m, delta) moves (x, n) to
+    # mobius_cover(m, x, n + delta), so each check is one mobius_cover per factor
+    from leftorder.cones import _Lifted, _lift_compose, _lift_inverse
+    rng = random.Random(19)
+
+    def act(el, pt):
+        return mobius_cover(el.mat, pt[0], pt[1] + el.delta)
+
+    points = []
+    for _ in range(6):
+        x = quad(rng.randint(-20, 20), rng.choice((-1, 1)) * rng.randint(1, 9),
+                 rng.randint(1, 9), rng.choice((2, 3, 5)))
+        points += [((x.p, x.q, x.r, x.d), n) for n in (-1, 0, 1)]
+    pairs = _lift_pairs(rng, 700)
+    assert any(m1.c * m2.c > 0 and (m1 @ m2).c == 0 for m1, m2 in pairs)
+    assert any(m1.c * m2.c < 0 and (m1 @ m2).c == 0 for m1, m2 in pairs)
+    assert any(m1.c == 0 for m1, _ in pairs) and any(m2.c == 0 for _, m2 in pairs)
+    for m1, m2 in pairs:
+        e1, e2 = _Lifted(m1, rng.randint(-3, 3)), _Lifted(m2, rng.randint(-3, 3))
+        product, inverse = _lift_compose(e1, e2), _lift_inverse(e1)
+        assert product.mat == m1 @ m2 and inverse.mat == m1.inverse()
+        for pt in points:
+            assert act(product, pt) == act(e1, act(e2, pt)), (m1, m2, pt)
+            assert act(inverse, act(e1, pt)) == pt == act(e1, act(inverse, pt)), (m1, pt)
 
 
 def test_dynamical_totality_ball6():
@@ -542,3 +591,26 @@ def test_detect_slope_opaque_sector_honest():
 def test_detect_slope_rejects_non_z2():
     with pytest.raises(InvalidConeError):
         detect_slope(dynamical_cone(), r=3)
+
+
+def test_slope_scan_refused_past_the_ball_cap(monkeypatch):
+    # (2r + 1)^2 candidates: radius 273 is the largest under 300,000
+    c = quad_slope_cone((rational(1), sqrt_of(2)), "+")
+    for r in (274, 20000, 10 ** 18):
+        t0 = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="slope scan"):
+            detect_slope(c, r)
+        assert time.monotonic() - t0 < 0.5  # refused before any candidate is built
+    # the edge itself, under a cap of 25 = (2 * 2 + 1)^2, on an opaque oracle
+    import leftorder.cones as cones
+    monkeypatch.setattr(cones, "BALL_ELEMENT_CAP", 25)
+
+    class Opaque(Cone):
+        ctx = Z2
+
+        def _sign(self, w):
+            return c.sign(w)
+
+    assert detect_slope(Opaque(), r=2).sector is not None
+    with pytest.raises(ResourceLimitError):
+        detect_slope(Opaque(), r=3)

@@ -3,9 +3,12 @@
 Each case runs in a child process limited to 1 GiB of address space and 10
 CPU seconds.  Whatever the exponents, the CLI contract must hold: exit 0, 1
 or 2 and no traceback.  A power that would outgrow its cap must be refused
-(exit 2) before the work, not run into either limit.  Work sizes (counts,
-samples, radii) stay at small fixed values; only exponents are drawn.  A
-long word of small letters, under the same limits, must be signed (exit 0).
+(exit 2) before the work, not run into either limit.  Exponents are drawn,
+and so are the work sizes of `slope` radii and `equivariance` samples, far
+past what either limit admits: a scan past its cap is refused, and samples
+are drawn one at a time, so a witness at sample 0 ends the check.  Other work
+sizes stay at small fixed values.  A long word of small letters, under the
+same limits, must be signed (exit 0).
 """
 
 import json
@@ -24,6 +27,7 @@ resource = pytest.importorskip("resource")
 SRC = str(Path(leftorder.__file__).resolve().parents[1])
 HYPERBOLIC = {"kind": "dynamical", "images": [[[2, 1], [1, 1]], [[1, 0], [2, 1]]],
               "basepoints": [[0, 1, 1, 2], [0, 1, 1, 3]]}
+QUAD = {"kind": "quad_slope", "a": [[1, 0, 1, 0], [0, 1, 1, 2]], "sign": "+"}
 SOL_LEX = {"kind": "lex", "ses": "sol",
            "kernel": {"kind": "slope", "a": [1, 0], "variant": "++"},
            "quotient": {"kind": "zsign", "sign": 1}}
@@ -32,6 +36,11 @@ SOL_LEX = {"kind": "lex", "ses": "sol",
 def _exp(rng):
     """A nonzero exponent of 1 to 19 digits, at most 10^18 in size."""
     return rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 18))
+
+
+def _size(rng, digits):
+    """A work size of ``digits`` to 19 digits."""
+    return rng.randint(10 ** (digits - 1), 10 ** rng.randint(digits, 18))
 
 
 def _word(rng, letters):
@@ -83,6 +92,12 @@ def _cases():
         ["a", _exp(rng)], ["b", _exp(rng)]]), "--word", _word(rng, "ab")] for _ in range(3)]
     cases += [["sign", "--cone", _nested(n, lambda: [["a", 65536], ["b", 1]]),
                "--word", "b"] for n in (1, 2, 6)]
+    # work sizes far past both limits: a refused scan, and a witness at sample 0
+    cases += [["slope", "--cone", json.dumps(QUAD), "--r", str(_size(rng, 5))]
+              for _ in range(3)]
+    cases += [["equivariance", "--ses", "zxf2", "--theta-const", '{"kind":"dynamical"}',
+               "--kernel", '{"kind":"zsign","sign":1}', "--conjugators", "a",
+               "--samples", str(_size(rng, 9))] for _ in range(3)]
     return cases
 
 

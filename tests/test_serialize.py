@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,10 @@ from leftorder.conrad import (
 )
 from leftorder.errors import LeftOrderError
 from leftorder.freeprod import basis_word, normal_closure_criterion
-from leftorder.serialize import cone_to_dict, dumps, ses_from_dict, to_json
+from leftorder.serialize import (
+    NAMED_GROUPS, cone_from_dict, cone_to_dict, ctx_from_dict, dumps, ses_from_dict,
+    to_json,
+)
 from leftorder.surd import rational, sqrt_of
 from leftorder.words import FreeProductCtx, KleinCtx, ZPowCtx
 
@@ -140,6 +144,51 @@ def test_bad_group_shape_exits_2(capsys, group):
     code, out, err = run(capsys, "axioms", "--group", group,
                          "--cone", '{"kind":"slope","a":[1,0],"variant":"++"}')
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+class _LoudDict(dict):
+    def __repr__(self):
+        raise AssertionError("a reader formatted a valid value")
+
+
+class _LoudList(list):
+    __repr__ = _LoudDict.__repr__
+
+
+def _loud(doc):
+    """``doc`` with every object and list replaced by a subclass whose repr raises."""
+    if isinstance(doc, dict):
+        return _LoudDict({k: _loud(v) for k, v in doc.items()})
+    if isinstance(doc, list):
+        return _LoudList(map(_loud, doc))
+    return doc
+
+
+def test_readers_format_only_on_failure():
+    for cone, _ in _compact_cases()[:-1]:
+        doc = json.loads(json.dumps(cone_to_dict(cone)))
+        assert cone_from_dict(_loud(doc)) == cone_from_dict(doc), doc["kind"]
+    for doc in NAMED_GROUPS.values():
+        assert ctx_from_dict(_loud(doc)) == ctx_from_dict(doc)
+    # the messages of a bad shape are as before
+    for bad, message in (({"kind": "slope", "a": [1], "variant": "++"},
+                          "slope a [1] has the wrong shape"),
+                         (5, "cone descriptor 5 is not an object"),
+                         ({"kind": "zsign", "sign": "x"}, "sign 'x' is not a nonzero integer")):
+        with pytest.raises(LeftOrderError) as info:
+            cone_from_dict(bad)
+        assert str(info.value) == message
+    with pytest.raises(LeftOrderError, match=r"^gens \['a', 'a'\] are not 2 distinct names$"):
+        ctx_from_dict({"family": "zpow", "rank": 2, "gens": ["a", "a"]})
+
+
+def test_nested_conjugates_read_in_linear_time():
+    doc = json.loads('{"kind":"conjugate","by":[["x",1]],"base":' * 900
+                     + '{"kind":"klein","ex":1,"ey":1}' + "}" * 900)
+    t0 = time.monotonic()
+    cone = cone_from_dict(doc)
+    assert time.monotonic() - t0 < 0.5
+    assert cone.ctx == KleinCtx()
 
 
 @pytest.mark.parametrize("argv", [
