@@ -1,18 +1,19 @@
 """Brute-force enumeration of ball-consistent partial cones.
 
 A ball cone is a sign assignment on the nonidentity elements of a word ball
-satisfying antisymmetry and positive closure for every in-ball triple.  The
-enumerator backtracks over elements in shortlex order with unit propagation
-(assigning w forces w^-1; a positive pair forces its in-ball product), so its
-output is the complete, deterministic list of locally consistent assignments.
-It is the independent oracle the classified cone families are checked against.
+satisfying antisymmetry and positive closure for every in-ball triple: no
+three elements a, b, c with abc = 1 share one sign.  The enumerator
+backtracks over elements in shortlex order with unit propagation (w^-1 takes
+the other sign of w; two equal signs in a clause force the third to the
+other), so its output is the complete, deterministic list of locally
+consistent assignments, the oracle the classified families are checked against.
 
 The search runs on the context's ``ball_index``: the ball's elements
-numbered ``0..n-1`` in shortlex order and their inverses as ints.  It adds
-the in-ball closure triples from the context's ``ball_products``, built once
-per search and freed with it.  Signs live in an int list; propagation
-appends to a trail, and backtracking undoes the trail to the mark taken at
-the decision (as in MiniSat), with an explicit stack in place of recursion.
+numbered ``0..n-1`` in shortlex order and their inverses as ints.  A
+variable is an inverse pair, and one clause per orbit of ``ball_products``
+is built per search and freed with it.  Signs live in an int list;
+propagation appends to a trail, and backtracking undoes the trail to the
+mark taken at the decision (as in MiniSat), with an explicit stack.
 """
 
 from __future__ import annotations
@@ -57,10 +58,12 @@ def _serial_items(domain: tuple[Word, ...]) -> tuple:
 class _Search:
     """Shared propagation engine for enumeration and extension checking.
 
-    ``index`` is the context's numbered B_r and ``by_id[i]`` lists every
-    closure triple ``(u, v, p)`` of ids in which ``i`` occurs.  ``sign[i]``
-    is +1, -1 or 0 (unassigned); ``trail`` lists assigned ids in assignment
-    order and doubles as the propagation queue.
+    ``index`` is the context's numbered B_r.  ``sign[i]`` is +1, -1 or 0
+    (unassigned) and ``sign[inv[i]]`` is ``-sign[i]``.  A clause ``(a, b, c)``
+    with abc = 1, from the product ``a b = c^-1``, stands for the six products
+    of its orbit; ``by_id[i]``, one list with ``by_id[inv[i]]``, holds the
+    clauses that meet the pair.  ``trail`` lists one id per assigned pair in
+    assignment order and doubles as the propagation queue.
     """
 
     def __init__(self, ctx: GroupCtx, r: int, gens=None,
@@ -69,23 +72,27 @@ class _Search:
         if len(index.domain) > cap:
             raise ResourceLimitError(
                 f"census domain has {len(index.domain)} elements, cap is {cap}")
-        by_id: list[list[tuple[int, int, int]]] = [[] for _ in index.domain]
-        for t in ctx.ball_products(r, gens):
-            u, v, p = t
-            by_id[u].append(t)
-            if v != u:
-                by_id[v].append(t)
-            if p != u and p != v:
-                by_id[p].append(t)
+        inv = index.inv
+        # w = w^-1 takes no sign: its list starts with a clause that fails
+        own = [[(i, i, i)] if i == j else [] for i, j in enumerate(inv)]
+        by_id = [own[min(i, j)] for i, j in enumerate(inv)]
+        for u, v, p in ctx.ball_products(r, gens):
+            t = (u, v, inv[p])
+            a, b, c = by_id[u], by_id[v], by_id[p]
+            a.append(t)
+            if b is not a:
+                b.append(t)
+            if c is not a and c is not b:
+                c.append(t)
         self.index, self.by_id = index, by_id
         self.sign = [0] * len(index.domain)
         self.trail: list[int] = []
 
     def undo(self, mark: int) -> None:
         """Unassign everything assigned after the trail had length ``mark``."""
-        sign, trail = self.sign, self.trail
+        sign, trail, inv = self.sign, self.trail, self.index.inv
         for i in trail[mark:]:
-            sign[i] = 0
+            sign[i] = sign[inv[i]] = 0
         del trail[mark:]
 
     def assign(self, w: int, s: int) -> bool:
@@ -95,33 +102,24 @@ class _Search:
             return sign[w] == s
         inv, by_id = self.index.inv, self.by_id
         head = len(trail)
+        sign[inv[w]] = -s
         sign[w] = s
         trail.append(w)
         while head < len(trail):
-            w = trail[head]
+            for a, b, c in by_id[trail[head]]:
+                # a sum of +-2 is two equal signs s and an unassigned third,
+                # which takes -s; a sum of +-3 is three equal signs
+                t = sign[a] + sign[b] + sign[c]
+                if -2 < t < 2:
+                    continue
+                if t == 3 or t == -3:
+                    return False
+                w = c if not sign[c] else b if not sign[b] else a
+                s = t >> 1
+                sign[inv[w]] = s
+                sign[w] = -s
+                trail.append(w)
             head += 1
-            s = sign[w]
-            iw = inv[w]
-            si = sign[iw]
-            if not si:
-                sign[iw] = -s
-                trail.append(iw)
-            elif si != -s:
-                return False
-            for u, v, p in by_id[w]:
-                su, sv, sp = sign[u], sign[v], sign[p]
-                if su == 1 and sv == 1:
-                    if not sp:
-                        sign[p] = 1
-                        trail.append(p)
-                    elif sp == -1:
-                        return False
-                elif su == 1 and sp == -1 and not sv:
-                    sign[v] = -1
-                    trail.append(v)
-                elif sv == 1 and sp == -1 and not su:
-                    sign[u] = -1
-                    trail.append(u)
         return True
 
     def run(self, collect=None) -> bool:

@@ -24,9 +24,10 @@ of the syllables.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
-elements as id triples: a pair loop by default, and a walk on any context
-whose law is free reduction (free groups, and free products of free factors
-such as ``zz-free``).
+elements as id triples (all among given ids, else one per orbit of abc = 1):
+a pair loop by default, and a walk on any context whose law is free
+reduction (free groups, and free products of free factors such as
+``zz-free``).
 """
 
 from __future__ import annotations
@@ -262,16 +263,20 @@ class GroupCtx:
 
     def ball_products(self, r: int, gens: tuple[Word, ...] | None = None,
                       among=None):
-        """Yield every in-ball product ``(u, v, p)`` of ids, ``u`` and ``v`` in ``among``.
+        """Yield the in-ball products ``(u, v, p)`` of ids.
 
         Ids are those of ``ball_index(r, gens)``, and
-        ``domain[u] * domain[v] == domain[p]``.  ``among`` is a sorted id
-        list; ``None`` means every id.  Triples come in ascending ``(u, v)``
+        ``domain[u] * domain[v] == domain[p]``.  With ``among``, a sorted id
+        list, every product of two ids in it comes.  Without, only those in
+        which ``u`` is the least of u, v, p and their inverses: abc = 1, its
+        rotations and their mirrors (c^-1, b^-1, a^-1) give six products
+        ``a b = c^-1``, and the least element heads one of them, or two when
+        the orbit repeats an element.  Triples come in ascending ``(u, v)``
         order, one ``u`` row at a time, and identity products are left out.
 
         A free law walks the ball when ``gens`` is None (``_walk_products``);
-        else every pair goes through ``_product``, and ``among`` None reads
-        the inverse ids, so ``gens`` must be symmetric.
+        else every pair goes through ``_product``.  Both read the inverse
+        ids without ``among``, so ``gens`` must be symmetric.
         """
         if gens is None and self._free_law:
             yield from self._walk_products(r, among)
@@ -287,24 +292,19 @@ class GroupCtx:
                     if p is not None:
                         yield u, v, p
             return
-        # u * w^-1 = p  iff  w * u^-1 = p^-1, so the pairs w > u give every
-        # triple, each product found once for two rows (u * u^-1 = 1 is skipped);
-        # ``later[w]`` holds row w's triples found from an earlier row
+        # u heads its inverse pair, and the pairs of v and p start at u or later
         inv = index.inv
-        later: list[list[tuple[int, int]]] = [[] for _ in syls]
         for u, su in enumerate(syls):
-            row, later[u] = later[u], []
-            for w in range(u + 1, len(syls)):
-                p = get(product(su, syls[inv[w]]))
-                if p is not None:
-                    row.append((inv[w], p))
-                    later[w].append((inv[u], inv[p]))
-            row.sort()
-            for v, p in row:
-                yield u, v, p
+            if inv[u] < u:
+                continue
+            for v in range(u, len(syls)):
+                if inv[v] >= u:
+                    p = get(product(su, syls[v]))
+                    if p is not None and u <= p and u <= inv[p]:
+                        yield u, v, p
 
     def _walk_products(self, r, among):
-        """In-ball products walked directly: every candidate tried is output.
+        """In-ball products walked directly: every candidate tried is in the ball.
 
         Write u = u'x and v = x^-1 y with no cancellation in u'y, so uv = u'y.
         For each cancellation length |x|, y runs over the reduced words that
@@ -339,7 +339,11 @@ class GroupCtx:
             keep = set(among)
             picked = [([k for k, v in enumerate(b) if v in keep],
                        [v for v in b if v in keep]) for b in below]
+        else:   # the least id of each inverse pair
+            rep = [min(i, j) for i, j in enumerate(index.inv)]
         for u in ids if among is None else among:
+            if among is None and rep[u] < u:
+                continue
             row = []
             xinv, head = 0, u + 1   # x^-1 and u' for |x| = 0, 1, ..., |u|
             while True:
@@ -356,6 +360,8 @@ class GroupCtx:
                     break
                 xinv = child[xinv][last[head] ^ 1]
                 head = parent[head]
+            if among is None:
+                row = [(v, p) for v, p in row if u <= rep[v] and u <= rep[p]]
             row.sort()
             for v, p in row:
                 yield u, v, p

@@ -14,8 +14,8 @@ from leftorder.cones import klein_cones, slope_cone, z_cone
 from leftorder.errors import MalformedWordError, ResourceLimitError
 from leftorder.surd import Mat2
 from leftorder.words import (
-    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx,
-    ZPowCtx,
+    DirectProductCtx, FreeCtx, FreeProductCtx, GroupCtx, KleinCtx,
+    SemidirectCtx, ZPowCtx,
 )
 
 Z1 = ZPowCtx(1)
@@ -23,6 +23,10 @@ Z2 = ZPowCtx(2)
 KLEIN = KleinCtx()
 F2 = FreeCtx(2)
 BOX = tuple(Z2.box_generators())
+SOL = SemidirectCtx(Mat2(2, 1, 1, 1))
+ZXF2 = DirectProductCtx((ZPowCtx(1, ("z",)), F2))
+ZZ_FREE = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
+KLEIN_FREE_Z = FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",))))
 
 
 def test_z_three_ball_has_two_cones():
@@ -162,19 +166,32 @@ def test_ball_index_matches_word_products(ctx, gens):
     assert all(index.ids[w.syllables] == i for w, i in pos.items())
     products = {(pos[u], pos[v], pos[ctx.mul(u, v)])
                 for u in domain for v in domain if ctx.mul(u, v) in pos}
-    for i, triples in enumerate(_Search(ctx, 2, gens).by_id):
-        assert len(triples) == len(set(triples))
-        assert set(triples) == {t for t in products if i in t}
+    inv = index.inv
+
+    def orbit(a, b, c):
+        """The six products of the orbit of the clause abc = 1."""
+        return frozenset(t for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                         for t in ((x, y, inv[z]), (inv[z], inv[y], x)))
+
+    orbits = {orbit(u, v, inv[p]) for u, v, p in products}
+    by_id = _Search(ctx, 2, gens).by_id
+    for i, clauses in enumerate(by_id):
+        assert by_id[inv[i]] is clauses
+        assert len(clauses) == len(set(clauses))
+        assert {orbit(*t) for t in clauses} == {
+            o for o in orbits if any(i in t or inv[i] in t for t in o)}
+    assert set().union(*(orbit(*t) for c in by_id for t in c)) == products
 
 
 @pytest.mark.parametrize("make,r,box,calls", [
-    (lambda: ZPowCtx(2), 4, False, 964), (KleinCtx, 5, False, 2058),
-    (lambda: ZPowCtx(2), 3, True, 1424),
+    (lambda: ZPowCtx(2), 4, False, 564), (KleinCtx, 5, False, 1158),
+    (lambda: ZPowCtx(2), 3, True, 848),
 ], ids=["z2-r4", "klein-r5", "z2-box-r3"])
 def test_ball_index_normalize_calls(monkeypatch, make, r, box, calls):
-    # a cold build of the search's ball and closure triples costs no more
-    # normal forms than the halved pair loop: the ball, n inverses and one
-    # product per pair u < w; a fresh context has built no ball yet
+    # a cold build of the search's ball and clauses costs no more normal
+    # forms than the quarter pair loop: the ball, n inverses and one product
+    # per pair (u, v) whose inverse pairs both start at u or later; a loop
+    # over every pair u < w would cost 924, 1998 and 1376
     ctx = make()
     gens = tuple(ctx.box_generators()) if box else None
     count = [0]
@@ -212,7 +229,10 @@ def _brute_force_cones(ctx, r, gens=None):
 
 @pytest.mark.parametrize("ctx,r,gens", [
     (Z1, 3, None), (Z2, 1, None), (Z2, 1, BOX), (KLEIN, 2, None), (F2, 1, None),
-], ids=["z-r3", "z2-r1", "z2-box-r1", "klein-r2", "f2-r1"])
+    (SOL, 1, None), (ZXF2, 1, None), (square_amalgam(), 1, None),
+    (KLEIN_FREE_Z, 1, None), (FreeCtx(3), 1, None), (ZPowCtx(3), 1, None),
+], ids=["z-r3", "z2-r1", "z2-box-r1", "klein-r2", "f2-r1", "sol-r1", "zxf2-r1",
+        "square-amalgam-r1", "klein-free-z-r1", "f3-r1", "z3-r1"])
 def test_enumeration_matches_brute_force(ctx, r, gens):
     domain, brute = _brute_force_cones(ctx, r, gens)
     expected = [BallCone(ctx, r, domain, signs) for signs in brute]
@@ -260,10 +280,58 @@ def test_survivor_digest_pinned(ctx, r, target, gens, count, sha256):
      "dcc1a16a19aa690db84c5fc8c8d35796306a5cbd3083262c6d7e09ba6c2ecfa8"),
     (KLEIN, 10, 4,
      "b117072b41f18c5b0369b94a47020525898661b81a0cfc6ace153c7c227d57b1"),
-], ids=["z2-r8", "klein-r10"])
+    (SOL, 2, 56,
+     "72ab071779a5f5bd7b44fad8552d21c7d5424f7f056778d11d9173b407bd11ee"),
+], ids=["z2-r8", "klein-r10", "sol-r2"])
 def test_enumeration_digest_pinned(ctx, r, count, sha256):
     assert census_digest(enumerate_ball_cones(ctx, r)) == {
         "count": count, "sha256": sha256}
+
+
+# -- digests pinned before one clause per orbit replaced six closure triples ---
+
+@pytest.mark.parametrize("ctx,r,target,cap,count,sha256", [
+    (SOL, 2, 3, 2000, 48,
+     "022e2490f0eb989830d5e11002c63b63ee208bd0d8b1e6a7f2bf55383105882a"),
+    (ZXF2, 1, 3, 2000, 8,
+     "0166f8b9522e8e11ae90143b6e66258e7ba9bc4a297fda2df46e4ea6eb41f5f7"),
+    (square_amalgam(), 2, 4, 2000, 4,
+     "071cce60a4f51b9871a2d4b9fe69fc8a39c680c1966c2db5b8b6cd3a7e704fb9"),
+    (ZZ_FREE, 2, 6, 2000, 16,
+     "88d9881bb5f65d76a9e84468b7d8899ee579f48ab5fbdf90c6be2ef53d6cde5e"),
+    (F2, 2, 7, 5000, 16,
+     "88d9881bb5f65d76a9e84468b7d8899ee579f48ab5fbdf90c6be2ef53d6cde5e"),
+], ids=["sol-r2-3", "zxf2-r1-3", "square-amalgam-r2-4", "zz-free-r2-6",
+        "f2-r2-7"])
+def test_survivor_digest_pinned_on_every_family(ctx, r, target, cap, count,
+                                                sha256):
+    survivors = extendable_filter(enumerate_ball_cones(ctx, r), target, cap=cap)
+    assert census_digest(survivors) == {"count": count, "sha256": sha256}
+
+
+class _ZxZ2(GroupCtx):
+    """Z x Z/2 on z, t: the exponent sums, t's taken mod 2."""
+
+    gen_names = ("z", "t")
+
+    def _normalize(self, syllables):
+        z = sum(e for g, e in syllables if g == 0)
+        t = sum(e for g, e in syllables if g == 1) % 2
+        return tuple((g, e) for g, e in ((0, z), (1, t)) if e)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_torsion_leaves_no_ball_cone(r):
+    # t = t^-1 can take neither sign, so no ball that holds t has a cone,
+    # and no assignment on B_r extends to B_(r+1)
+    ctx = _ZxZ2()
+    index = ctx.ball_index(r)
+    t = index.ids[((1, 1),)]
+    assert index.inv[t] == t
+    assert enumerate_ball_cones(ctx, r) == []
+    candidates = [BallCone(ctx, r, index.domain, signs) for signs
+                  in itertools.product((1, -1), repeat=len(index.domain))]
+    assert extendable_filter(candidates, r + 1) == []
 
 
 def test_cones_of_one_search_share_serial_items():

@@ -547,8 +547,13 @@ KLEIN_FREE_Z = FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",))))
         "zz-free-r4", "zz-free-r5", "f2-free-z-r3", "klein-free-z-r3",
         "f2-r3-gens", "square-amalgam-r4"])
 def test_ball_products_match_pair_loop(ctx, r, gens):
-    # the list compares both the triple set and the ascending (u, v) order
-    assert list(ctx.ball_products(r, gens)) == _pair_loop_products(ctx, r, gens)
+    # the list compares both the triple set and the ascending (u, v) order;
+    # without among, only the products headed by the least id of u, v, p
+    # and their inverses
+    inv = ctx.ball_index(r, gens).inv
+    least = [t for t in _pair_loop_products(ctx, r, gens)
+             if t[0] == min(x for i in t for x in (i, inv[i]))]
+    assert list(ctx.ball_products(r, gens)) == least
     n = len(ctx.ball(r, gens)) - 1
     among = sorted(random.Random(n).sample(range(n), n // 2))
     assert (list(ctx.ball_products(r, gens, among))
@@ -561,9 +566,25 @@ def test_ball_products_need_symmetric_generators(ctx):
         list(ctx.ball_products(2, tuple(ctx.gens())))
 
 
+def _orbit(ctx, u, v, p):
+    """The six products of the orbit of abc = 1 through ``u v = p``."""
+    words = []
+    a, b, c = u, v, ctx.inv(p)
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        words += [(x, y, ctx.inv(z)), (ctx.inv(z), ctx.inv(y), x)]
+    return frozenset(words)
+
+
 def test_ball_products_free_count_r6():
-    assert sum(1 for _ in F2.ball_products(6)) == 109356
-    assert sum(1 for _ in ZXZ.ball_products(6)) == 109356
+    # one product per orbit of abc = 1, plus a second one for each orbit
+    # with two equal elements; 109356 in-ball products fall into 18226 orbits
+    for ctx in (F2, ZXZ):
+        domain = ctx.ball_index(6).domain
+        triples = list(ctx.ball_products(6))
+        assert len(triples) == 18276
+        orbits = {_orbit(ctx, *(domain[i] for i in t)) for t in triples}
+        assert len(orbits) == 18226 == 109356 // 6
+        assert len(frozenset().union(*orbits)) == 109356
 
 
 def test_walk_runs_on_free_laws_only():
