@@ -8,6 +8,7 @@ else is compared on balls.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import ContextMismatchError, OrbitUndecidedError
@@ -120,7 +121,12 @@ class OrbitReport:
 
 def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
           max_size: int = 64) -> OrbitReport:
-    """Breadth-first closure of {c} under conjugation, modulo cone_equal."""
+    """Breadth-first closure of {c} under conjugation, modulo cone_equal.
+
+    A conjugate equal to the rep with its simplified descriptor is dropped
+    unscanned: cone_equal reads only descriptors, and those of the reps
+    before that one all came out "distinct" against it.
+    """
     ctx = c.ctx
     gens = []
     for g in conjugators:
@@ -129,6 +135,9 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
             if h not in gens and not h.is_identity():
                 gens.append(h)
     reps: list[Cone] = [c]
+    index = {}   # simplified descriptor -> index of the rep with it
+    with suppress(TypeError):   # an unhashable descriptor is always scanned
+        index[c.simplified()] = 0
     frontier = [c]
     witnesses = []
     while frontier:
@@ -136,6 +145,13 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
         for rep in frontier:
             for g in gens:
                 cand = conj_cone(rep, g)
+                # a new descriptor is filed under the rep it would become
+                k = len(reps)
+                with suppress(TypeError):
+                    k = index.setdefault(cand.simplified(), k)
+                if (k < len(reps) and cone_equal(cand, reps[k], strategy,
+                                                 radius).verdict == "equal"):
+                    continue
                 seen = False
                 found = []
                 for j, known in enumerate(reps):

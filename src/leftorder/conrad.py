@@ -18,10 +18,11 @@ from .words import GroupCtx, Word, ZPowCtx
 def cyclic_subgroup(ctx: GroupCtx, w: Word):
     """Membership predicate of <w>.
 
-    On Z^n membership is exact: u is in <w> iff its vector is an integer
-    multiple of w's.  Other families decide against the |k| <= 64 powers;
-    the bound must dominate the ball radius the predicate will be scanned
-    over, and it covers every desk-scale radius used here.
+    Exact on Z^n (u's vector is a multiple of w's) and under a free law:
+    w = p c p^-1 with c one syllable or cyclically reduced with its ends on
+    different generators, so c^k spells c k times, and u is in <w> iff
+    p^-1 u p is such a power.  Other families decide against the |k| <= 64
+    powers, a bound above every desk-scale ball radius scanned here.
     """
     w = ctx.normalize(w)
     if isinstance(ctx, ZPowCtx):
@@ -33,14 +34,25 @@ def cyclic_subgroup(ctx: GroupCtx, w: Word):
             k = 0 if i is None else v[i] // base[i]
             return v == tuple(k * x for x in base)
         return member
-    powers = {ctx.identity()}
-    p = ctx.identity()
-    q = ctx.identity()
+    if ctx._free_law:
+        p, c = ctx.identity(), w.syllables
+        while len(c) > 1 and c[0][0] == c[-1][0]:   # conjugate the last syllable round
+            x = Word(ctx, c[-1:], True)
+            p, c = ctx.mul(p, ctx.inv(x)), ctx.conj(x, Word(ctx, c, True)).syllables
+        p_inv, c_inv = ctx.inv(p), tuple((g, -e) for g, e in reversed(c))
+
+        def member(u: Word) -> bool:
+            v = ctx.conj(p_inv, u).syllables
+            if len(c) <= 1:
+                return not v or (len(v) == len(c) == 1 and v[0][0] == c[0][0]
+                                 and v[0][1] % c[0][1] == 0)
+            j = len(v) // len(c)
+            return v in (c * j, c_inv * j)
+        return member
+    powers, p, q = {ctx.identity()}, ctx.identity(), ctx.identity()
     for _ in range(64):
-        p = ctx.mul(p, w)
-        q = ctx.mul(q, ctx.inv(w))
-        powers.add(p)
-        powers.add(q)
+        p, q = ctx.mul(p, w), ctx.mul(q, ctx.inv(w))
+        powers |= {p, q}
     return powers.__contains__
 
 

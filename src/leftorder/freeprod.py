@@ -81,7 +81,7 @@ def kernel_decompose(w: Word) -> KernelBasisWord:
     letters: list[Letter] = []
     for gid, exp in ctx.normalize(w).syllables:
         i = ctx.factor_of(gid)
-        syllable = ctx.factors[i].word([(gid - ctx.offsets[i], exp)])
+        syllable = Word(ctx.factors[i], ((gid - ctx.offsets[i], exp),), True)
         if i == 1:
             h_acc = hf.mul(h_acc, syllable)
         else:

@@ -16,11 +16,13 @@ a foreign context, an unknown generator id or unreduced syllables are handled
 exactly as before.  The marker is neither compared nor hashed.
 
 ``mul`` multiplies two normal forms through ``_product(a, b)``.  Each family
-gives one rule: Z^n, Klein, semidirect and direct products give ``_normalize``,
-and their ``_product`` normalizes the concatenation; free groups and free
-products give ``_product``, which cancels and merges only where the two words
-meet, and their ``_normalize`` multiplies the normal forms of the two halves
-of the syllables.
+gives one rule: Klein, semidirect and direct products give ``_normalize``,
+and their ``_product`` normalizes the concatenation; Z^n gives ``_product``,
+a merge that adds exponent vectors, and free groups and free products give
+one that cancels and merges only where the two words meet.  Their
+``_normalize`` multiplies the normal forms of the two halves of the syllables.
+``inv`` reverses and negates a normal form, which under a free law is reduced
+already; Z^n negates in place, and the other families normalize the result.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
@@ -231,9 +233,9 @@ class GroupCtx:
         return Word(self, self._product(a, b), True)
 
     def inv(self, u: Word) -> Word:
-        # the inverse of a normal form need not be one (Klein, semidirect)
+        # reversed, a normal form stays one only under a free law
         rev = tuple((g, -e) for g, e in reversed(self._nf(u)))
-        return Word(self, self._normalize(rev), True)
+        return Word(self, rev if self._free_law else self._normalize(rev), True)
 
     def conj(self, g: Word, w: Word) -> Word:
         """g w g^-1."""
@@ -418,11 +420,25 @@ class ZPowCtx(GroupCtx):
             object.__setattr__(self, "gen_names", names)
         object.__setattr__(self, "_free_law", self.rank <= 1)
 
-    def _normalize(self, syllables):
-        sums = {}
-        for g, e in syllables:
-            sums[g] = sums.get(g, 0) + e
-        return tuple((g, sums[g]) for g in sorted(sums) if sums[g] != 0)
+    def _product(self, a, b):
+        # merge two generator-sorted normal forms: exponent vectors add
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (g, e), (h, f) = a[i], b[j]
+            if g == h:
+                if e + f:
+                    out.append((g, e + f))
+                i, j = i + 1, j + 1
+            elif g < h:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return tuple(out) + a[i:] + b[j:]
+
+    def inv(self, u: Word) -> Word:
+        return Word(self, tuple((g, -e) for g, e in self._nf(u)), True)
 
     def descriptor(self):
         return {"family": "zpow", "rank": self.rank,
@@ -566,6 +582,8 @@ class FreeProductCtx(_ProductCtx):
     def _product(self, a, b):
         # merge the last factor run of a[:i] with the first of b[j:]; when
         # they cancel to nothing, the next pair of runs meets
+        if self._free_law:   # the one rule on letters, as in FreeCtx
+            return FreeCtx._product(self, a, b)
         factor_of = self._factor   # indexed: a and b are normal forms
         i, j, n = len(a), 0, len(b)
         while i and j < n:
@@ -620,12 +638,16 @@ class SemidirectCtx(GroupCtx):
     def state(self, syllables) -> tuple[int, int, int]:
         v1 = v2 = k = 0
         m, at = MAT_IDENTITY, 0  # m = A^at, caught up with k when a lattice letter needs it
+        # A^k for |k| <= 64 once its growth check passed, kept as ball_index keeps balls
+        powers = vars(self).setdefault("_powers", {})
         for g, e in syllables:
             if g == self.T:
                 k += e
             elif g in (self.A1, self.A2):
                 if at != k:  # A^k itself, so the power cap sees the exponent
-                    m, at = self.matrix.power(k), k
+                    m, at = powers.get(k) or self.matrix.power(k), k
+                    if -64 <= k <= 64:
+                        powers[k] = m
                 dv = m.apply_vec((e, 0) if g == self.A1 else (0, e))
                 v1, v2 = v1 + dv[0], v2 + dv[1]
             else:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from leftorder import actions
 from leftorder.actions import (
-    ConstantConeMap, cone_equal, conj_cone, diag_conj, equivariance_check,
+    ConstantConeMap, OrbitReport, cone_equal, conj_cone, diag_conj, equivariance_check,
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
 from leftorder.cones import (
@@ -410,6 +411,99 @@ def test_orbit_undecided_raises():
     with pytest.raises(OrbitUndecidedError) as exc:
         orbit(c, [c.ctx.gens()[0]], strategy="exact")
     assert exc.value.partial is not None
+
+
+def _pairwise_orbit(c, conjugators, strategy="exact", radius=4, max_size=64):
+    """The closure that compares every conjugate with every representative."""
+    ctx = c.ctx
+    gens = []
+    for g in conjugators:
+        g = ctx.normalize(g)
+        for h in (g, ctx.inv(g)):
+            if h not in gens and not h.is_identity():
+                gens.append(h)
+    reps, frontier, witnesses = [c], [c], []
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for g in gens:
+                cand = conj_cone(rep, g)
+                found = []
+                for j, known in enumerate(reps):
+                    res = cone_equal(cand, known, strategy, radius)
+                    if res.verdict == "equal":
+                        break
+                    if res.verdict == "unknown":
+                        raise OrbitUndecidedError("undecided", partial=OrbitReport(
+                            tuple(reps), "undecided", strategy, radius,
+                            tuple(gens), tuple(witnesses)))
+                    found.append((len(reps), j, res.witness))
+                else:
+                    reps.append(cand)
+                    witnesses.extend(found)
+                    nxt.append(cand)
+                    if len(reps) > max_size:
+                        return OrbitReport(tuple(reps[:max_size]), "exceeded-bound",
+                                           strategy, radius, tuple(gens),
+                                           tuple(witnesses))
+        frontier = nxt
+    return OrbitReport(tuple(reps), len(reps), strategy, radius, tuple(gens),
+                       tuple(witnesses))
+
+
+SOL_QUAD_LEX = {"kind": "lex", "ses": "sol",
+                "kernel": {"kind": "quad_slope", "a": [[1, 0, 1, 0], [0, 1, 1, 2]],
+                           "sign": "+"},
+                "quotient": {"kind": "zsign", "sign": 1}}
+
+
+def _outcome(closure, cone, gens, **kwargs):
+    """The report, or the partial report of an undecided closure."""
+    try:
+        return closure(cone, gens, **kwargs)
+    except OrbitUndecidedError as exc:
+        assert exc.partial.representatives
+        return "undecided", exc.partial
+
+
+ZXF2 = DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2)))
+ZXF2_SES = direct_product_ses(ZXF2, kernel_factor=0)
+UNDECIDED = ("sol-lex-ball", "sol-quad-lex", "dynamical", "central")
+
+
+@pytest.mark.parametrize("case", ["sol-lex", "klein", "klein-ball", *UNDECIDED])
+def test_orbit_lookup_matches_the_pairwise_closure(case):
+    # reps, size and witnesses, or the partial report where cone_equal is
+    # undecided (under ball, sol lex conjugates agree on B_4 after 4 reps);
+    # "central" finds its own descriptor, but a lex cone with a dynamical
+    # quotient is not exactly comparable, so it is undecided, not dropped
+    t, a = SOL.word([("t", 1)]), SOL.word([("a", 1)])
+    x, y = KLEIN.gens()
+    central = lex_cone(ZXF2_SES, z_cone(ctx=ZXF2_SES.kernel),
+                       dynamical_cone(ZXF2_SES.quotient))
+    cone, gens, kwargs = {
+        "sol-lex": (sol_lex(), [t, a], {}),
+        "klein": (KleinCone(KLEIN, 1, 1), [x, y], {}),
+        "klein-ball": (KleinCone(KLEIN, -1, 1), [x, y], {"strategy": "ball"}),
+        "sol-lex-ball": (sol_lex(), [t, a], {"strategy": "ball", "max_size": 8}),
+        "sol-quad-lex": (cone_from_dict(SOL_QUAD_LEX), [t, a], {}),
+        "dynamical": (dynamical_cone(), FreeCtx(2).gens(), {}),
+        "central": (central, [ZXF2.word([("z", 1)])], {}),
+    }[case]
+    ours = _outcome(orbit, cone, gens, **kwargs)
+    assert ours == _outcome(_pairwise_orbit, cone, gens, **kwargs)
+    assert isinstance(ours, tuple) == (case in UNDECIDED)
+
+
+def test_orbit_skips_the_reps_before_a_found_descriptor(monkeypatch):
+    # the pairwise closure makes 7,878 cone_equal calls here, the lookup 2,266
+    calls = []
+    real = actions.cone_equal
+    monkeypatch.setattr(actions, "cone_equal",
+                        lambda *args: calls.append(1) or real(*args))
+    rep = orbit(sol_lex(), [SOL.word([("t", 1)]), SOL.word([("a", 1)])], max_size=64)
+    assert rep.size == "exceeded-bound" and len(rep.representatives) == 64
+    assert len(calls) <= 2300
 
 
 # -- diagonal action and lex compatibility ---------------------------------------------

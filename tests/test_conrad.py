@@ -8,8 +8,10 @@ from leftorder.cones import (
     KleinCone, dynamical_cone, klein_cones, lex_cone, slope_cone, z_cone,
 )
 from leftorder.errors import InvalidHomError
+from leftorder.serialize import word_from_pairs
 from leftorder.words import (
-    DirectProductCtx, FreeCtx, KleinCtx, ZPowCtx, direct_product_ses,
+    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, ZPowCtx,
+    direct_product_ses,
 )
 
 Z1 = ZPowCtx(1)
@@ -116,6 +118,39 @@ def test_cyclic_subgroup_non_member_on_z2():
     assert not member(Z2.from_vector((2, -3)))
     trivial = cyclic_subgroup(Z2, Z2.identity())
     assert trivial(Z2.identity()) and not trivial(Z2.from_vector((0, 1)))
+
+
+def _power_table(ctx, w, bound):
+    powers, p, q = {ctx.identity()}, ctx.identity(), ctx.identity()
+    for _ in range(bound):
+        p, q = ctx.mul(p, w), ctx.mul(q, ctx.inv(w))
+        powers |= {p, q}
+    return powers
+
+
+ZZ_FREE = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
+
+
+@pytest.mark.parametrize("ctx", [FreeCtx(2), ZZ_FREE], ids=["f2", "zz-free"])
+def test_cyclic_subgroup_exact_on_free_laws(ctx):
+    # w = p root^m p^-1: every power of w is in, at any length, and nothing
+    # else is; the ball of radius 5 agrees with the power table
+    texts = ["a", "a^3", "a b", "a b a", "a b a b", "b a^2 b^-1", "a b a^-1 b",
+             "b^2 a b a^-1 b^-2", "a^2 b a^-1 b^-1 a^-2", "b a b a b^-1"]
+    ball = ctx.ball(5)
+    for text in texts:
+        w = word_from_pairs(ctx, text)
+        member = cyclic_subgroup(ctx, w)
+        table = _power_table(ctx, w, 5)
+        assert [u for u in ball if member(u)] == [u for u in ball if u in table]
+        for k in (65, -66, 200):   # |w^k| > 64: past the old 64-power table
+            assert member(w ** k) and w ** k not in _power_table(ctx, w, 64)
+            assert not member(ctx.mul(w ** k, ctx.word([("b", 1)])))
+    root = word_from_pairs(ctx, "b a b^-1")
+    squares = cyclic_subgroup(ctx, root ** 2)
+    assert squares(root ** 130) and not squares(root ** 131)
+    assert cyclic_subgroup(ctx, ctx.identity())(ctx.identity())
+    assert not cyclic_subgroup(ctx, ctx.identity())(root)
 
 
 def test_klein_y_subgroup_convex():

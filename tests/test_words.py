@@ -317,19 +317,19 @@ def test_pow_by_squaring_matches_repeated_mul():
                 assert w ** k == expect
 
 
-def _sol_by_letters(syllables):
+def _sol_by_letters(syllables, ctx=SOL):
     """(v1, v2, k) by multiplying one letter at a time: (v, k)(v', k') = (v + A^k v', k + k')."""
-    a, a_inv = SOL.matrix, SOL.matrix.inverse()
+    a, a_inv = ctx.matrix, ctx.matrix.inverse()
     v1 = v2 = k = 0
     m = Mat2(1, 0, 0, 1)  # A^k
     for g, e in syllables:
         step = 1 if e > 0 else -1
         for _ in range(abs(e)):
-            if g == SOL.T:
+            if g == ctx.T:
                 k += step
                 m = m @ (a if step > 0 else a_inv)
             else:
-                dv = m.apply_vec((step, 0) if g == SOL.A1 else (0, step))
+                dv = m.apply_vec((step, 0) if g == ctx.A1 else (0, step))
                 v1, v2 = v1 + dv[0], v2 + dv[1]
     return v1, v2, k
 
@@ -359,6 +359,99 @@ def test_semidirect_power_cap_sees_the_exponent_reached():
     ctx.word(step + ((ctx.T, -half), (ctx.A2, 1)) + step)
     with pytest.raises(ResourceLimitError):
         ctx.word(step + step)
+
+
+# -- mul and inv against a reference normal form -------------------------------
+
+def _zpow_reference(syllables):
+    sums = {}
+    for g, e in syllables:
+        sums[g] = sums.get(g, 0) + e
+    return tuple((g, sums[g]) for g in sorted(sums) if sums[g])
+
+
+def _sol_reference(ctx):
+    """The normal form a^v1 b^v2 t^k of ``_sol_by_letters``."""
+    def nf(syllables):
+        v1, v2, k = _sol_by_letters(syllables, ctx)
+        return tuple(s for s in ((ctx.A1, v1), (ctx.A2, v2), (ctx.T, k)) if s[1])
+    return nf
+
+
+def _klein_reference(syllables):
+    """y^b x^a, right-multiplying one letter at a time: x^a y = y^((-1)^a) x^a."""
+    b = a = 0
+    for g, e in syllables:
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if g == KleinCtx.X:
+                a += step
+            else:
+                b += step if a % 2 == 0 else -step
+    return tuple(s for s in ((KleinCtx.Y, b), (KleinCtx.X, a)) if s[1])
+
+
+def _klein_free_z_reference(syllables):
+    """Klein * Z: maximal factor runs, each in its factor's normal form, built
+    one letter at a time; a run that vanishes lets its neighbours meet."""
+    runs = []   # [factor, run syllables in the product's numbering]
+    for g, e in syllables:
+        f = 0 if g < 2 else 1
+        for _ in range(abs(e)):
+            letter = (g, 1 if e > 0 else -1)
+            if runs and runs[-1][0] == f:
+                run = runs[-1][1] + (letter,)
+                run = _klein_reference(run) if f == 0 else _zpow_reference(run)
+                if run:
+                    runs[-1][1] = run
+                else:
+                    runs.pop()
+            else:
+                runs.append([f, (letter,)])
+    return tuple(s for _, run in runs for s in run)
+
+
+SOL_FLIP = SemidirectCtx(Mat2(1, 1, 1, 0))    # det -1: orientation-reversing
+LAW_REFERENCES = [
+    (ZPowCtx(1), _zpow_reference), (Z2, _zpow_reference),
+    (ZPowCtx(3), _zpow_reference), (SOL, _sol_reference(SOL)),
+    (SOL_FLIP, _sol_reference(SOL_FLIP)), (ZXZ, _reduce_by_letters),
+    (FreeProductCtx((FreeCtx(2), ZPowCtx(1, ("z",)))), _reduce_by_letters),
+    (FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",)))), _klein_free_z_reference),
+]
+
+
+@pytest.mark.parametrize("ctx,ref", LAW_REFERENCES, ids=[
+    "z1", "z2", "z3", "sol", "sol-flip", "zz-free", "f2-free-z", "klein-free-z"])
+def test_mul_and_inv_match_a_reference_normal_form(ctx, ref):
+    # each law, closed form or derived, against the raw syllables concatenated
+    rng = random.Random(len(ctx.gen_names) * 31 + len(repr(ctx)))
+    for _ in range(200):
+        raw_u = _raw_syllables(ctx, rng, rng.randint(0, 8))
+        raw_v = _raw_syllables(ctx, rng, rng.randint(0, 8))
+        u, v = ctx.word(raw_u), ctx.word(raw_v)
+        assert u.syllables == ref(raw_u) and v.syllables == ref(raw_v)
+        assert ctx.mul(u, v).syllables == ref(raw_u + raw_v)
+        assert ctx.mul(u, ctx.mul(v, ctx.inv(v))) == u
+        assert ctx.inv(u).syllables == ref(tuple((g, -e) for g, e in reversed(raw_u)))
+        assert ctx.inv(u).nf and ctx.mul(u, v).nf
+
+
+def test_sol_power_cap_meets_the_exponents_a_word_reaches():
+    # a lattice letter after t^k needs A^k: the cap sees the running exponent,
+    # never a difference of two of them
+    t, a = SOL.word([("t", 10 ** 18)]), SOL.word([("a", 1)])
+    with pytest.raises(ResourceLimitError):
+        SOL.mul(t, a)
+    assert SOL.mul(a, t).syllables == ((SOL.A1, 1), (SOL.T, 10 ** 18))
+    n = 600_000
+    ctx = SemidirectCtx(SOL.matrix)
+    w = ctx.word([("t", n), ("b", 1), ("t", -2 * n), ("a", 1)])
+    assert [g for g, _ in w.syllables] == [SOL.A1, SOL.A2, SOL.T]
+    assert w.syllables[-1] == (SOL.T, -n)
+    # the context keeps only small powers of A
+    ctx.word([("t", 3), ("a", 1), ("t", -70), ("b", 1)])
+    assert set(vars(ctx)["_powers"]) == {3}
 
 
 # -- multiplication, inversion, conjugation -----------------------------------
