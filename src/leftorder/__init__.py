@@ -33,8 +33,7 @@ from .freeprod import (
     fp_project, kernel_decompose, normal_closure_criterion,
 )
 from .amalgam import (
-    AmalgamCtx, amalgam_normal_form, free_product_amalgam, in_factor,
-    malnormality_check, square_amalgam,
+    AmalgamCtx, amalgam_normal_form, in_factor, malnormality_check,
 )
 from .census import (
     BallCone, census_digest, enumerate_ball_cones, extendable_filter,

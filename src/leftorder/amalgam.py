@@ -14,7 +14,7 @@ from .errors import InvalidOracleError
 from .words import GroupCtx, Syllables, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AmalgamCtx(GroupCtx):
     """Z *_C Z with C generated by a^w0 = b^w1; weights (0, 0) give Z * Z."""
 
@@ -28,6 +28,10 @@ class AmalgamCtx(GroupCtx):
                 and (w[0] == 0) == (w[1] == 0)):
             raise InvalidOracleError(
                 f"amalgam weights {w!r} are neither two positive integers nor (0, 0)")
+
+    def descriptor(self):
+        return {"family": "amalgam", "weights": list(self.weights),
+                "gens": list(self.gen_names)}
 
     def _normalize(self, syllables):
         core, letters = amalgam_normal_form(self, syllables)
@@ -62,14 +66,10 @@ def amalgam_normal_form(ctx: AmalgamCtx,
     return core, tuple(stack)
 
 
-def square_amalgam() -> AmalgamCtx:
-    """Z *_C Z with C generated by a^2 = b^2 (the Klein bottle group)."""
-    return AmalgamCtx((2, 2))
-
-
-def free_product_amalgam() -> AmalgamCtx:
-    """Z * Z with trivial amalgamated subgroup."""
-    return AmalgamCtx((0, 0))
+def check_amalgam(ctx) -> AmalgamCtx:
+    if not isinstance(ctx, AmalgamCtx):
+        raise InvalidOracleError(f"{ctx!r} is not an amalgam")
+    return ctx
 
 
 def in_factor(w: Word, side: int) -> bool:

@@ -16,8 +16,8 @@ import sys
 
 from .actions import ConstantConeMap, equivariance_check, orbit
 from .amalgam import (
-    MalnormalityReport, amalgam_normal_form, free_product_amalgam,
-    malnormality_check, square_amalgam,
+    AmalgamCtx, MalnormalityReport, amalgam_normal_form, check_amalgam,
+    malnormality_check,
 )
 from .census import (
     CENSUS_DOMAIN_CAP, census_digest, enumerate_ball_cones, extendable_filter,
@@ -167,18 +167,10 @@ def _cmd_closure_criterion(args) -> int:
     return 0 if res.consistent else 1
 
 
-def _amalgam_instance(name: str):
-    if name == "square":
-        return square_amalgam()
-    if name == "free":
-        return free_product_amalgam()
-    raise LeftOrderError(f"unknown amalgam instance {name!r}")
-
-
 def _cmd_amalgam_nf(args) -> int:
-    ctx = _amalgam_instance(args.instance)
-    # the word is read, and echoed, as spelled in Z * Z
-    w = word_from_pairs(free_product_amalgam(), args.word)
+    ctx = check_amalgam(ctx_from_dict(args.instance))
+    # the word is read, and echoed, as spelled in Z * Z on the instance's letters
+    w = word_from_pairs(AmalgamCtx((0, 0), ctx.gen_names), args.word)
     core, letters = amalgam_normal_form(ctx, w.syllables)
     _emit(args, "amalgam-nf", {"instance": args.instance, "word": w.pairs()},
           {"core_exp": core, "letters": to_json(letters),
@@ -188,7 +180,7 @@ def _cmd_amalgam_nf(args) -> int:
 
 
 def _cmd_malnormal(args) -> int:
-    ctx = _amalgam_instance(args.instance)
+    ctx = check_amalgam(ctx_from_dict(args.instance))
     rep = malnormality_check(ctx, args.factor, args.r)
     _emit(args, "malnormal",
           {"instance": args.instance, "factor": args.factor, "r": args.r},
@@ -288,7 +280,7 @@ def _cmd_verify_witness(args) -> int:
         ok = bool(found) and all(ConvexityReport(False, 0, w).certify(cone, sub)
                                  for w in found)
     elif command == "malnormal":
-        ctx = _amalgam_instance(config["instance"])
+        ctx = check_amalgam(ctx_from_dict(config["instance"]))
         side = config["factor"]
         if type(side) is not int or side not in (0, 1):
             raise LeftOrderError(f"config factor {side!r} is not 0 or 1")

@@ -292,6 +292,9 @@ class DynamicalCone(Cone):
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.ctx, FreeCtx):
+            raise InvalidConeError(
+                f"a dynamical cone lives on a free group, not on {self.ctx!r}")
         if len(self.images) != len(self.ctx.gen_names):
             raise InvalidConeError("one matrix per generator required")
         for m in self.images:

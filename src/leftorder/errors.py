@@ -62,7 +62,7 @@ class InvalidHomError(LeftOrderError):
 
 
 class InvalidOracleError(LeftOrderError):
-    """Amalgam weights are neither two positive integers nor (0, 0)."""
+    """Amalgam weights are not two positive integers or (0, 0), or a group is not an amalgam."""
 
 
 class OrbitUndecidedError(LeftOrderError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 
+from .amalgam import AmalgamCtx
 from .cones import (
     Cone, ConjugateCone, DynamicalCone, KleinCone, LexCone,
     QuadSlopeCone, RestrictionCone, Slope, SlopeCone, ZSignCone, cyclic_embedding,
@@ -88,6 +89,9 @@ def ctx_from_dict(d) -> GroupCtx:
     if fam == "semidirect":
         return SemidirectCtx(_mat(d.get("matrix")),
                              _names(d, 3) or ("a", "b", "t"))
+    if fam == "amalgam":
+        return AmalgamCtx(tuple(_list(d.get("weights"), 2, "weights", int)),
+                          _names(d, 2) or ("a", "b"))
     raise LeftOrderError(f"unknown family {fam!r}")
 
 
@@ -150,6 +154,10 @@ NAMED_GROUPS = {
     "f2": {"family": "free", "rank": 2},
     "zz-free": {"family": "free_product", "factors": [
         {"family": "zpow", "rank": 1, "gens": [name]} for name in "ab"]},
+    # <a, b | a^p = b^q>: Z * Z, the Klein bottle group, the trefoil group
+    "free": {"family": "amalgam", "weights": [0, 0]},
+    "square": {"family": "amalgam", "weights": [2, 2]},
+    "trefoil": {"family": "amalgam", "weights": [2, 3]},
     **{name: {**d, "family": d["type"]} for name, d in NAMED_SES.items()},
 }
 
@@ -368,7 +376,6 @@ def cone_from_dict(d: dict, ctx: GroupCtx | None = None) -> Cone:
         return lex_cone(ses, cone_from_dict(d["kernel"], ses.kernel),
                         cone_from_dict(d["quotient"], ses.quotient))
     if kind == "dynamical":
-        ctx = ctx if isinstance(ctx, FreeCtx) else None
         if "images" not in d:
             return dynamical_cone(ctx)
         return DynamicalCone(

@@ -139,11 +139,9 @@ class BallIndex:
 
     @cached_property
     def inv(self) -> list[int]:
-        # ball words are already normal, so the raw normal form suffices
-        norm, ids = self.ctx._normalize, self.ids
+        inv, ids = self.ctx.inv, self.ids
         try:
-            return [ids[norm(tuple((g, -e) for g, e in reversed(w.syllables)))]
-                    for w in self.domain]
+            return [ids[inv(w).syllables] for w in self.domain]
         except KeyError:
             raise MalformedWordError(
                 "ball generators are not closed under inverses") from None

@@ -18,8 +18,7 @@ from leftorder.actions import (
     orbit,
 )
 from leftorder.amalgam import (
-    amalgam_normal_form, free_product_amalgam, malnormality_check,
-    square_amalgam,
+    AmalgamCtx, amalgam_normal_form, malnormality_check,
 )
 from leftorder.census import restriction_ball_cone
 from leftorder.cli import main
@@ -383,8 +382,8 @@ def test_criterion_10c_dynamical_cone():
 
 def test_criterion_11_malnormality():
     t0 = time.monotonic()
-    free_rep = malnormality_check(free_product_amalgam(), 0, 4)
-    sq = square_amalgam()
+    free_rep = malnormality_check(AmalgamCtx((0, 0)), 0, 4)
+    sq = AmalgamCtx((2, 2))
     sq_rep = malnormality_check(sq, 0, 4)
     witness_ok = False
     if not sq_rep.passed:

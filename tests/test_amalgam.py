@@ -3,14 +3,13 @@ import random
 import pytest
 
 from leftorder.amalgam import (
-    AmalgamCtx, amalgam_normal_form, free_product_amalgam, in_factor,
-    malnormality_check, square_amalgam,
+    AmalgamCtx, amalgam_normal_form, in_factor, malnormality_check,
 )
 from leftorder.errors import InvalidOracleError
 from leftorder.words import FreeProductCtx, Word, ZPowCtx
 
-SQ = square_amalgam()
-FREE = free_product_amalgam()
+SQ = AmalgamCtx((2, 2))
+FREE = AmalgamCtx((0, 0))
 ZZ = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
 
 

@@ -199,6 +199,24 @@ def test_amalgam_nf_command(capsys):
     assert doc["result"]["canonical_word"] == [["b", 1]]
 
 
+def test_amalgam_nf_reads_the_word_on_the_instance_letters(capsys):
+    instance = '{"family":"amalgam","weights":[2,3],"gens":["x","y"]}'
+    code, doc = run(capsys, "amalgam-nf", "--instance", instance, "--word", "x^3 y^-1")
+    assert code == 0
+    # x^3 y^-1 = z x z^-1 y^2 with z = x^2 = y^3 central
+    assert doc["config"]["word"] == [["x", 3], ["y", -1]]
+    assert doc["result"]["canonical_word"] == [["x", 1], ["y", 2]]
+    assert main(["amalgam-nf", "--instance", instance, "--word", "a"]) == 2
+
+
+def test_trefoil_census_and_malnormality(capsys):
+    code, doc = run(capsys, "census", "--group", "trefoil", "--r", "2", "--extend", "4")
+    assert code == 0
+    assert (doc["result"]["count"], doc["result"]["survivors"]["count"]) == (6, 6)
+    code, doc = run(capsys, "malnormal", "--instance", "trefoil", "--r", "4")
+    assert code == 1 and doc["witnesses"] == [[[["a", 2]], [["b", 1]]]]
+
+
 def test_malnormal_commands(capsys):
     code, doc = run(capsys, "malnormal", "--instance", "free", "--r", "4")
     assert code == 0
@@ -450,6 +468,8 @@ def test_verify_witness_reproduces_and_rejects(capsys, tmp_path):
         (("conradian", "--cone", '{"kind":"dynamical"}', "--r", "3"),
          [[["a", 1]], [["a", 1]]]),
         (("malnormal", "--instance", "square", "--r", "3"),
+         [[["a", 2]], [["a", 1]]]),
+        (("malnormal", "--instance", "trefoil", "--r", "4"),
          [[["a", 2]], [["a", 1]]]),
     ]
     for argv, non_witness in cases:

@@ -1,6 +1,7 @@
 """The cone codec: the compact form, shape checks, and a seeded fuzz of the CLI."""
 
 import copy
+import hashlib
 import json
 import random
 import time
@@ -11,7 +12,7 @@ from leftorder.actions import (
     ConstantConeMap, cone_equal, conj_cone, equivariance_check,
     kernel_conj_cone, orbit, restricted_orbit_sample,
 )
-from leftorder.amalgam import malnormality_check, square_amalgam
+from leftorder.amalgam import AmalgamCtx, malnormality_check
 from leftorder import cli
 from leftorder.cli import main
 from leftorder.cones import (
@@ -146,6 +147,45 @@ def test_bad_group_shape_exits_2(capsys, group):
     assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name,ctx", [
+    ("free", AmalgamCtx((0, 0))), ("square", AmalgamCtx((2, 2))),
+    ("trefoil", AmalgamCtx((2, 3))), (None, AmalgamCtx((2, 3), ("x", "y"))),
+], ids=["free", "square", "trefoil", "gens-xy"])
+def test_amalgam_descriptor_round_trips(name, ctx):
+    assert ctx_from_dict(ctx.descriptor()) == ctx
+    assert name is None or ctx_from_dict(name) == ctx
+    assert repr(ctx) == f"<amalgam on {','.join(ctx.gen_names)}>"
+
+
+@pytest.mark.parametrize("weights", [[2], [2, -1], [0, 3], [True, 2], "x", None],
+                         ids=["one", "negative", "half-zero", "bool", "text", "missing"])
+def test_bad_amalgam_weights_exit_2(capsys, weights):
+    # census runs on any valid amalgam, so exit 2 here is the weights' check
+    group = {"family": "amalgam"}
+    if weights is not None:
+        group["weights"] = weights
+    code, out, err = run(capsys, "census", "--group", json.dumps(group), "--r", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    with pytest.raises(LeftOrderError):
+        ctx_from_dict(group)
+
+
+@pytest.mark.parametrize("name", ["f2", "klein", "sol"])
+def test_instance_that_is_not_an_amalgam_exits_2(capsys, tmp_path, name):
+    for argv in (("malnormal", "--instance", name),
+                 ("amalgam-nf", "--instance", name, "--word", "a")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert "is not an amalgam" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "malnormal", "--instance", "square", "--r", "3")
+    doc = json.loads(out)
+    doc["config"]["instance"] = name
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-witness", "--report", str(report))
+    assert (code, out) == (2, "") and "is not an amalgam" in err
+
+
 class _LoudDict(dict):
     def __repr__(self):
         raise AssertionError("a reader formatted a valid value")
@@ -235,6 +275,24 @@ def test_verify_witness_needs_a_natural_radius(capsys, tmp_path):
         assert (code, out) == (2, "") and err.startswith("error: "), r
 
 
+@pytest.mark.parametrize("group", ["klein", "z2", "zz-free", "trefoil"])
+def test_dynamical_cone_refuses_a_group_that_is_not_free(capsys, group):
+    code, out, err = run(capsys, "sign", "--group", group,
+                         "--cone", '{"kind":"dynamical"}', "--word", "a")
+    assert (code, out) == (2, "") and err.startswith("error: a dynamical cone")
+
+
+@pytest.mark.parametrize("group,code,sha256", [
+    ("f2", 0, "84b6d4434fd022d9e7bc767d8e5816f07f75e38248aebca5782f0790b26e6c82"),
+    ('{"family":"free","rank":3}', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+], ids=["f2", "free-rank-3"])
+def test_default_dynamical_cone_on_a_free_group_bytes_pinned(capsys, group, code, sha256):
+    got, out, _ = run(capsys, "sign", "--group", group,
+                      "--cone", '{"kind":"dynamical"}', "--word", "a")
+    assert got == code and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_dynamical_cone_on_free_group_of_rank_3(capsys):
     images = [[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[3, 2], [1, 1]]]
     cone = json.dumps({"kind": "dynamical", "images": images,
@@ -303,7 +361,7 @@ def _report_cases():
          {"holds": False, "bound": 5, "failed_at": 1}),
         (order_hom_check(slope_cone((1, 0), "++"), lambda w: z2.vector(w)[1], 2),
          {"passed": False, "radius": 2, "witness": [[], [["e1", 1], ["e2", -1]]]}),
-        (malnormality_check(square_amalgam(), 0, 2),
+        (malnormality_check(AmalgamCtx((2, 2)), 0, 2),
          {"passed": False, "radius": 2, "factor": 0,
           "witness": [[["a", 2]], [["b", 1]]]}),
         (normal_closure_criterion(basis_word(zz, [(a3, b1, 1)]), [(a1, b1)]),

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from leftorder.amalgam import square_amalgam
+from leftorder.amalgam import AmalgamCtx
 from leftorder.errors import (
     BrokenSESError, ContextMismatchError, MalformedWordError,
     ResourceLimitError,
@@ -633,7 +633,7 @@ KLEIN_FREE_Z = FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",))))
     (ZPowCtx(1), 5, None), (Z2, 4, None), (Z2, 2, BOX), (KLEIN, 4, None),
     (SOL, 2, None), (ZXF2, 2, None), (ZXZ, 3, None),
     (ZXZ, 4, None), (ZXZ, 5, None), (F2_FREE_Z, 3, None), (KLEIN_FREE_Z, 3, None),
-    (F2, 3, tuple(F2.ball_generators())), (square_amalgam(), 4, None),
+    (F2, 3, tuple(F2.ball_generators())), (AmalgamCtx((2, 2)), 4, None),
 ], ids=[*[f"f1-r{r}" for r in range(6)], *[f"f2-r{r}" for r in range(6)],
         *[f"f3-r{r}" for r in range(4)],
         "z-r5", "z2-r4", "z2-box-r2", "klein-r4", "sol-r2", "zxf2-r2", "zz-free-r3",
@@ -685,7 +685,7 @@ def test_walk_runs_on_free_laws_only():
     assert "ball_products" not in vars(FreeCtx)
     walks = [F2, FreeCtx(1), ZPowCtx(1), ZXZ, F2_FREE_Z,
              FreeProductCtx((ZXZ, FreeCtx(1, ("c",))))]
-    pairs = [Z2, KLEIN, SOL, ZXF2, KLEIN_FREE_Z, square_amalgam(),
+    pairs = [Z2, KLEIN, SOL, ZXF2, KLEIN_FREE_Z, AmalgamCtx((2, 2)),
              DirectProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))]
     assert all(c._free_law for c in walks)
     assert not any(c._free_law for c in pairs)
