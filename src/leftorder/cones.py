@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import repeat
 from math import gcd
 
 from .errors import (
@@ -20,8 +21,8 @@ from .errors import (
     InvalidSlopeError, NoSignError, ResourceLimitError, WrongConstructorError,
 )
 from .surd import (
-    LIFT_BITS_CAP, MAT_IDENTITY, Mat2, QuadNum, cmp_triples, mat2, mobius_cover,
-    primitive_vec, quad, rational, repeated_squaring, sqrt_of,
+    LIFT_BITS_CAP, MAT_IDENTITY, Mat2, QuadNum, cmp_triples, cover_image, mat2,
+    mobius_cover, primitive_vec, quad, rational, repeated_squaring, sqrt_of,
 )
 from .words import (
     BALL_ELEMENT_CAP, DirectProductCtx, FreeCtx, GroupCtx, KleinCtx, SemidirectCtx,
@@ -53,6 +54,12 @@ class Cone:
         for w in words:
             out = self.ctx.mul(out, w)
         return self.sign(out)
+
+    def sign_rows(self, pairs, middles):
+        """Lazy rows of signs: for each (left, right) in ``pairs``, an iterator
+        over the signs of left m right, one per m in the sequence ``middles``."""
+        return (map(self.sign_of_product, zip(repeat(left), middles, repeat(right)))
+                for left, right in pairs)
 
     def simplified(self) -> "Cone":
         return self
@@ -363,7 +370,7 @@ class DynamicalCone(Cone):
 
     def _sign_of_element(self, el: _Lifted) -> int:
         for base in self._memo["base"]:
-            c = _cmp_points(mobius_cover(el.mat, base[0], el.delta), base)
+            c = _cmp_points(cover_image(el.mat, base[0], el.delta), base)
             if c != 0:
                 return c
         raise InsufficientBasepointsError(
@@ -371,6 +378,11 @@ class DynamicalCone(Cone):
 
     def _sign(self, w: Word) -> int:
         return self._sign_of_element(self._element(w))
+
+    def _lift(self, w: Word) -> _Lifted:
+        """The lift of any word of this group, memoized when it is a normal form."""
+        el = self._memo.get(w.syllables) if w.nf and w.ctx is self.ctx else None
+        return el if el is not None else self._element(self.ctx.normalize(w))
 
     def sign_of_product(self, words) -> int:
         """Sign of w1 ... wk, read from cover points without composing lifts.
@@ -381,15 +393,10 @@ class DynamicalCone(Cone):
         point application; the first basepoint where the two differ decides.
         """
         words = tuple(words)
-        ctx, memo = self.ctx, self._memo
-        lifted = []
-        for w in words:
-            el = memo.get(w.syllables) if w.nf and w.ctx is ctx else None
-            lifted.append(el if el is not None
-                          else self._element(ctx.normalize(w)))
+        lifted = [self._lift(w) for w in words]
         if lifted:
             targets = self._inverse_points(lifted[0])
-            starts = self._points(lifted[-1]) if len(lifted) > 1 else memo["base"]
+            starts = self._points(lifted[-1]) if len(lifted) > 1 else self._memo["base"]
             middle = lifted[-2:0:-1]  # w_(k-1), ..., w_2: applied right to left
             for (t, n), target in zip(starts, targets):
                 for el in middle:
@@ -400,6 +407,29 @@ class DynamicalCone(Cone):
         # every basepoint ties: the generic path raises NoSignError if the
         # product is trivial, else InsufficientBasepointsError
         return super().sign_of_product(words)
+
+    def sign_rows(self, pairs, middles):
+        """``Cone.sign_rows`` by the point rule of ``sign_of_product``: the middles
+        are lifted once, each row reads its two cached point tuples once, and an
+        entry costs one sheet bound, or one unreduced ``cover_image``, per
+        basepoint it reaches."""
+        lifts = [(el.mat, el.delta) for el in map(self._lift, middles)]
+        return (self._point_row(left, right, middles, lifts) for left, right in pairs)
+
+    def _point_row(self, left, right, middles, lifts):
+        starts = self._points(self._lift(right))
+        targets = self._inverse_points(self._lift(left))
+        for m, (mat, delta) in zip(middles, lifts):
+            for (t, n), target in zip(starts, targets):
+                # the image lies on sheet n + delta or on the one above it
+                s = n + delta - target[1]
+                c = (1 if s > 0 else -1 if s < -1 else
+                     _cmp_points(cover_image(mat, t, n + delta), target))
+                if c:
+                    yield c
+                    break
+            else:   # every basepoint ties, as in sign_of_product
+                yield Cone.sign_of_product(self, (left, m, right))
 
 
 def dynamical_cone(ctx: FreeCtx | None = None) -> DynamicalCone:
@@ -446,6 +476,11 @@ class ConjugateCone(Cone):
         if not isinstance(s, ConjugateCone):
             return s.sign_of_product(words)
         return s.base.sign_of_product([self.ctx.inv(s.by), *words, s.by])
+
+    def sign_rows(self, pairs, middles):
+        s = self.simplified()
+        rows = super().sign_rows if isinstance(s, ConjugateCone) else s.sign_rows
+        return rows(pairs, middles)
 
 
 @dataclass(frozen=True)

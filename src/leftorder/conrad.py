@@ -78,17 +78,17 @@ def conradian_check(c: Cone, r: int, collect_all: bool = False) -> ConradianRepo
     """Scan positive pairs (g, h) in B_r for sign(g^-1 h g^2) != +.
 
     Uses the exponent-2 form of the Conradian condition, which makes the
-    ball check finite.  pass(r) is bounded evidence only.
+    ball check finite.  pass(r) is bounded evidence only.  The scan reads
+    one lazy row of ``Cone.sign_rows`` per g, so a first witness stops it.
     """
     ctx = c.ctx
     positives = [w for w in ctx.ball_index(r).domain if c.sign(w) == 1]
     witnesses = []
-    for g in positives:
-        g_inv = ctx.inv(g)
-        g_sq = ctx.mul(g, g)
-        for h in positives:
+    rows = c.sign_rows(((ctx.inv(g), ctx.mul(g, g)) for g in positives), positives)
+    for g, row in zip(positives, rows):
+        for h, s in zip(positives, row):
             # g^-1 h g^2 cannot be trivial here: that would force h = g^-1 < 1
-            if c.sign_of_product([g_inv, h, g_sq]) != 1:
+            if s != 1:
                 witnesses.append((g, h))
                 if not collect_all:
                     return ConradianReport(False, r, tuple(witnesses))
@@ -126,12 +126,11 @@ def convexity_check(c: Cone, member, r: int) -> ConvexityReport:
     outsiders = [(w, ctx.inv(w)) for w in ball if not member(w)]
     for c1, c1_inv in members:
         for f, f_inv in outsiders:
-            step1 = ctx.mul(c1_inv, f)
-            if step1.is_identity() or c.sign(step1) != 1:
+            # c1^-1 f and f^-1 c2 cannot be trivial: c1, c2 are members, f is not
+            if c.sign(ctx.mul(c1_inv, f)) != 1:
                 continue
             for c2, _ in members:
-                step2 = ctx.mul(f_inv, c2)
-                if step2.is_identity() or c.sign(step2) != 1:
+                if c.sign(ctx.mul(f_inv, c2)) != 1:
                     continue
                 return ConvexityReport(False, r, (c1, f, c2))
     return ConvexityReport(True, r)

@@ -20,8 +20,8 @@ LT, EQ, GT = -1, 0, 1
 
 # Fixed bit caps of Mat2.check_growth: POWER_BITS_CAP for a matrix power, and
 # the lower LIFT_BITS_CAP for a dynamical cone's lift g^e, since a sign
-# evaluates and gcd-reduces a surd point under the lift.  Each admits powers
-# that take about a second as a whole CLI process.
+# evaluates a surd point under the lift.  Each admits powers that take about
+# a second as a whole CLI process.
 POWER_BITS_CAP = 1 << 21
 LIFT_BITS_CAP = 1 << 17
 
@@ -257,16 +257,17 @@ def cmp_triples(t1, t2) -> int:
     return sign_int_surd(a, b, d)
 
 
-def mobius_cover(mat: Mat2, t, n: int = 0):
+def cover_image(mat: Mat2, t, n: int = 0):
     """Image of the cover point (x, n) under the crossing lift of a Mobius map.
 
     Points of the universal cover of the projective line are pairs (x, n)
     ordered sheet first; the lift sends (x, n) to ((a x + b) / (c x + d),
     n + 1) when x lies above the pole -d/c, and to the same image on sheet n
-    otherwise.  The image comes back as a gcd-reduced tuple.  x lies above
-    the pole iff c x + d has the sign of c, and that sign falls out of the
-    norm that rationalizes the denominator, so the crossing costs no extra
-    multiplication.  Raises PoleError when x is the pole.
+    otherwise.  The image comes back unreduced, over a positive denominator
+    and x's radicand, so it compares exactly by ``cmp_triples``.  x lies
+    above the pole iff c x + d has the sign of c, and that sign falls out of
+    the norm that rationalizes the denominator, so the crossing costs no
+    extra multiplication.  Raises PoleError when x is the pole.
     """
     a, b, c, dd = mat
     p, q, r, d = t
@@ -284,6 +285,12 @@ def mobius_cover(mat: Mat2, t, n: int = 0):
     qq = nq * dp - np_ * dq
     if denom < 0:
         pp, qq, denom = -pp, -qq, -denom
+    return (pp, qq, denom, d), n
+
+
+def mobius_cover(mat: Mat2, t, n: int = 0):
+    """``cover_image`` with the image gcd-reduced, for points that are kept."""
+    (pp, qq, denom, d), n = cover_image(mat, t, n)
     g = gcd(gcd(abs(pp), abs(qq)), denom)
     if g > 1:
         pp, qq, denom = pp // g, qq // g, denom // g

@@ -21,8 +21,8 @@ and their ``_product`` normalizes the concatenation; Z^n gives ``_product``,
 a merge that adds exponent vectors, and free groups and free products give
 one that cancels and merges only where the two words meet.  Their
 ``_normalize`` multiplies the normal forms of the two halves of the syllables.
-``inv`` reverses and negates a normal form, which under a free law is reduced
-already; Z^n negates in place, and the other families normalize the result.
+``inv`` wraps ``_inverse``, which reverses and negates a normal form, reduced
+already under a free law; Z^n negates in place, the others normalize it.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
@@ -139,9 +139,9 @@ class BallIndex:
 
     @cached_property
     def inv(self) -> list[int]:
-        inv, ids = self.ctx.inv, self.ids
+        inverse, ids = self.ctx._inverse, self.ids
         try:
-            return [ids[inv(w).syllables] for w in self.domain]
+            return [ids[inverse(w.syllables)] for w in self.domain]
         except KeyError:
             raise MalformedWordError(
                 "ball generators are not closed under inverses") from None
@@ -230,10 +230,13 @@ class GroupCtx:
         b = v.syllables if v.nf and v.ctx is self else self._nf(v)
         return Word(self, self._product(a, b), True)
 
-    def inv(self, u: Word) -> Word:
+    def _inverse(self, syllables: Syllables) -> Syllables:
         # reversed, a normal form stays one only under a free law
-        rev = tuple((g, -e) for g, e in reversed(self._nf(u)))
-        return Word(self, rev if self._free_law else self._normalize(rev), True)
+        rev = tuple((g, -e) for g, e in reversed(syllables))
+        return rev if self._free_law else self._normalize(rev)
+
+    def inv(self, u: Word) -> Word:
+        return Word(self, self._inverse(self._nf(u)), True)
 
     def conj(self, g: Word, w: Word) -> Word:
         """g w g^-1."""
@@ -435,8 +438,8 @@ class ZPowCtx(GroupCtx):
                 j += 1
         return tuple(out) + a[i:] + b[j:]
 
-    def inv(self, u: Word) -> Word:
-        return Word(self, tuple((g, -e) for g, e in self._nf(u)), True)
+    def _inverse(self, syllables):
+        return tuple((g, -e) for g, e in syllables)
 
     def descriptor(self):
         return {"family": "zpow", "rank": self.rank,

@@ -488,6 +488,7 @@ def test_verify_witness_reproduces_and_rejects(capsys, tmp_path):
 @pytest.mark.parametrize("r,sha256", [
     ("4", "bea7ce6ad161004d02fefc38d0d2284f5960bf619dcfc00bd8dd96d2a4a5a365"),
     ("5", "8b6722fe405fa3a0083c87e01969c7aabff4b3626ed6475235329433fda32b06"),
+    ("6", "c58c93524488c1946e72c46a8ec329e8c43e01ba7ab1a00fb584919e8186139f"),
 ])
 def test_conradian_dynamical_all_bytes_pinned(capsys, r, sha256):
     code = main(["conradian", "--cone", '{"kind":"dynamical"}', "--r", r, "--all"])

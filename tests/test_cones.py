@@ -4,16 +4,18 @@ import time
 import pytest
 
 from leftorder.cones import (
-    Cone, DynamicalCone, KleinCone, check_cone_axioms_on_ball, cyclic_embedding,
-    detect_slope, dynamical_cone, klein_cones, lex_cone, quad_slope_cone,
-    restrict_cone, ses_kernel_embedding, slope_cone, z_cone,
+    Cone, ConjugateCone, DynamicalCone, Embedding, KleinCone, RestrictionCone,
+    check_cone_axioms_on_ball, conj_cone, cyclic_embedding, detect_slope,
+    dynamical_cone, klein_cones, lex_cone, quad_slope_cone, restrict_cone,
+    ses_kernel_embedding, slope_cone, z_cone,
 )
 from leftorder.errors import (
-    InvalidConeError, InvalidEmbeddingError, InvalidSlopeError, NoSignError,
-    ResourceLimitError, WrongConstructorError,
+    InsufficientBasepointsError, InvalidConeError, InvalidEmbeddingError,
+    InvalidSlopeError, NoSignError, ResourceLimitError, WrongConstructorError,
 )
 from leftorder.surd import (
-    LIFT_BITS_CAP, Mat2, mat2, mobius_cover, quad, rational, sign_int_surd, sqrt_of,
+    LIFT_BITS_CAP, Mat2, mat2, mobius_apply, mobius_cover, quad, rational,
+    sign_int_surd, sqrt_of,
 )
 from leftorder.words import (
     DirectProductCtx, FreeCtx, KleinCtx, SemidirectCtx, Word, ZPowCtx,
@@ -418,6 +420,84 @@ def test_dynamical_point_rule_on_foreign_and_raw_words():
     expected = c.sign(c.ctx.word([("a", 2), ("b", -1)]))
     assert c.sign_of_product([raw]) == expected
     assert c.sign_of_product([F2.word([("a", 2)]), F2.word([("b", -1)])]) == expected
+
+
+def _row_cone(which):
+    """A cone on F2 and the word g it is conjugated by (1 for none)."""
+    c = dynamical_cone()
+    ctx = c.ctx
+    g = ctx.word([("a", 1), ("b", -2)])
+    ab = ctx.word([("a", 1), ("b", 1)])
+    opaque = RestrictionCone(c, Embedding(ctx, ctx, lambda w: ctx.conj(ab, w)))
+    return {
+        "default": (c, ctx.identity()),
+        "conjugate": (conj_cone(c, g), g),
+        "wrapper": (ConjugateCone(c, g), g),
+        "ab-winds": (DynamicalCone(ctx, c.images, (quad(1, 1, 1, 2), sqrt_of(3))),
+                     ctx.identity()),
+        "opaque": (ConjugateCone(opaque, g), g),
+    }[which]
+
+
+def _deciding_basepoint(c, w):
+    """Index of the first basepoint the composed lift of w moves on the cover."""
+    s = c.simplified()
+    el = s._lift(w)
+    return next(i for i, (t, n) in enumerate(s._memo["base"])
+                if mobius_cover(el.mat, t, n + el.delta) != (t, n))
+
+
+@pytest.mark.parametrize("which", ["default", "conjugate", "wrapper", "ab-winds",
+                                   "opaque"])
+def test_sign_rows_match_sign_of_product(which):
+    # every entry of every row is sign_of_product of its three words, with
+    # all rows taken before any is read.  a b^-1 a fixes (sqrt2, 0) on the
+    # cover, so g a b^-1 a g^-1 is decided by the second basepoint.  a b
+    # fixes 1 + sqrt2 on the line but winds it one sheet up, so on
+    # "ab-winds" (a b)^2 is decided at the first basepoint, by its sheet.
+    # "opaque" signs by the generic rows of a wrapper that stays one.
+    c, g = _row_cone(which)
+    ctx = c.ctx
+    a, b = ctx.gens()
+    ball = ctx.ball(4)
+    rng = random.Random(7)
+    middles = rng.sample(ball[1:], 40) + [ctx.inv(b), ctx.mul(b, a)]
+    pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(40)]
+    pairs += [(ctx.mul(g, a), ctx.mul(a, ctx.inv(g))), (a, b)]
+    pairs = [(left, right) for left, right in pairs
+             if not any(ctx.mul(ctx.mul(left, m), right).is_identity() for m in middles)]
+    assert len(pairs) > 30
+    rows = list(c.sign_rows(pairs, middles))
+    assert len(rows) == len(pairs)
+    deciders = set()
+    for (left, right), row in zip(pairs, rows):
+        assert list(row) == [c.sign_of_product((left, m, right)) for m in middles]
+        if which != "opaque":
+            deciders |= {_deciding_basepoint(c, ctx.mul(ctx.mul(left, m), right))
+                         for m in middles}
+    if which == "opaque":
+        assert isinstance(c.simplified(), ConjugateCone)
+    elif which == "ab-winds":
+        x = c.basepoints[0]
+        assert mobius_apply(c.images[0] @ c.images[1], x) == x
+        assert c._points(c._lift(ctx.mul(a, b)))[0] == ((x.p, x.q, x.r, x.d), 1)
+        assert deciders == {0}
+    else:
+        assert deciders == {0, 1}
+
+
+def test_sign_rows_fall_back_when_every_basepoint_ties():
+    # on one basepoint that a b^-1 a fixes on the cover, that entry raises
+    # as sign_of_product does, after the entries before it
+    c = dynamical_cone()
+    one = DynamicalCone(c.ctx, c.images, (sqrt_of(2),))
+    a, b = c.ctx.gens()
+    (row,) = one.sign_rows([(a, a)], [a, b.inv()])
+    assert next(row) == one.sign_of_product((a, a, a)) == 1
+    with pytest.raises(InsufficientBasepointsError):
+        next(row)
+    with pytest.raises(InsufficientBasepointsError):
+        one.sign_of_product((a, b.inv(), a))
 
 
 def _rand_free(rng, n=5):

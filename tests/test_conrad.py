@@ -9,9 +9,10 @@ from leftorder.cones import (
 )
 from leftorder.errors import InvalidHomError
 from leftorder.serialize import word_from_pairs
+from leftorder.surd import Mat2
 from leftorder.words import (
-    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, ZPowCtx,
-    direct_product_ses,
+    DirectProductCtx, FreeCtx, FreeProductCtx, KleinCtx, SemidirectCtx, ZPowCtx,
+    direct_product_ses, semidirect_ses,
 )
 
 Z1 = ZPowCtx(1)
@@ -19,6 +20,7 @@ Z2 = ZPowCtx(2)
 KLEIN = KleinCtx()
 F2XZ = DirectProductCtx((ZPowCtx(1, ("z",)), FreeCtx(2)))
 F2XZ_SES = direct_product_ses(F2XZ, kernel_factor=0)
+SOL_SES = semidirect_ses(SemidirectCtx(Mat2(2, 1, 1, 1)))
 
 
 # -- conradian_check -------------------------------------------------------------
@@ -45,6 +47,32 @@ def test_lex_witness_pattern_on_dynamical_quotient():
         assert qg.is_identity() == qh.is_identity()
     if not rep.passed:
         assert rep.certify(c)
+
+
+def _pairwise_conradian(c, r):
+    """Every positive pair (g, h) of B_r with g^-1 h g^2 not positive, in scan order."""
+    ctx = c.ctx
+    positives = [w for w in ctx.ball(r)[1:] if c.sign(w) == 1]
+    return [(g, h) for g in positives for h in positives
+            if c.sign(ctx.mul(ctx.mul(ctx.inv(g), h), ctx.mul(g, g))) != 1]
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("which", ["dynamical", "slope", "klein", "sol-lex"])
+def test_conradian_rows_match_a_pairwise_scan(which, r):
+    c = {
+        "dynamical": dynamical_cone(),
+        "slope": slope_cone((2, 3), "+-"),
+        "klein": KleinCone(KLEIN, 1, -1),
+        "sol-lex": lex_cone(SOL_SES, slope_cone((1, 0), "++", SOL_SES.kernel),
+                            z_cone(ctx=SOL_SES.quotient)),
+    }[which]
+    expected = _pairwise_conradian(c, r)
+    rep = conradian_check(c, r, True)
+    assert rep.passed == (not expected) and list(rep.witnesses) == expected
+    first = conradian_check(c, r)
+    assert first.passed == (not expected) and list(first.witnesses) == expected[:1]
+    assert (which == "dynamical") == bool(expected)
 
 
 def test_conradian_witness_monotone_in_radius():
