@@ -237,6 +237,8 @@ def _cmd_equivariance(args) -> int:
     theta = ConstantConeMap(cone_from_dict(json.loads(args.theta_const),
                                            ses.quotient))
     conjugators = _words(ses.total, args.conjugators)
+    if args.samples and not conjugators:
+        raise LeftOrderError("--conjugators is empty: no conjugator to sample")
     rng = random.Random(args.seed)
     kernel_cone = cone_from_dict(json.loads(args.kernel), ses.kernel)
     samples = ((conjugators[rng.randrange(len(conjugators))], kernel_cone)

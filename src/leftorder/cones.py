@@ -12,7 +12,7 @@ the conjugation action that builds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import repeat
 from math import gcd
 
@@ -307,6 +307,8 @@ class DynamicalCone(Cone):
         for m in self.images:
             if m.det() != 1:
                 raise InvalidConeError("generator images must have det +1")
+        if not self.basepoints:
+            raise InvalidConeError("a dynamical cone needs at least one basepoint")
         if any(x.is_rational() for x in self.basepoints):
             raise InvalidConeError("dynamical basepoints must be irrational surds")
         self._memo["base"] = tuple(((x.p, x.q, x.r, x.d), 0)
@@ -385,34 +387,21 @@ class DynamicalCone(Cone):
         return el if el is not None else self._element(self.ctx.normalize(w))
 
     def sign_of_product(self, words) -> int:
-        """Sign of w1 ... wk, read from cover points without composing lifts.
-
-        L(w1) is increasing, so L(w1 ... wk) moves x up iff L(w2) ... L(wk) x
-        lies above L(w1)^-1 x.  The point of wk and the inverse point of w1
-        are cached on their lifted records, so each middle factor costs one
-        point application; the first basepoint where the two differ decides.
-        """
+        """Sign of w1 ... wk as one ``sign_rows`` entry: the row's ends are w1
+        and wk, and its middle is the product of the words between them."""
         words = tuple(words)
-        lifted = [self._lift(w) for w in words]
-        if lifted:
-            targets = self._inverse_points(lifted[0])
-            starts = self._points(lifted[-1]) if len(lifted) > 1 else self._memo["base"]
-            middle = lifted[-2:0:-1]  # w_(k-1), ..., w_2: applied right to left
-            for (t, n), target in zip(starts, targets):
-                for el in middle:
-                    t, n = mobius_cover(el.mat, t, n + el.delta)
-                c = _cmp_points((t, n), target)
-                if c != 0:
-                    return c
-        # every basepoint ties: the generic path raises NoSignError if the
-        # product is trivial, else InsufficientBasepointsError
-        return super().sign_of_product(words)
+        if len(words) < 2:
+            return super().sign_of_product(words)
+        middle = reduce(self.ctx.mul, words[1:-1], self.ctx.identity())
+        (row,) = self.sign_rows([(words[0], words[-1])], [middle])
+        return next(row)
 
     def sign_rows(self, pairs, middles):
-        """``Cone.sign_rows`` by the point rule of ``sign_of_product``: the middles
-        are lifted once, each row reads its two cached point tuples once, and an
-        entry costs one sheet bound, or one unreduced ``cover_image``, per
-        basepoint it reaches."""
+        """``Cone.sign_rows`` from cover points: L(left) is increasing, so left m
+        right moves x up iff L(m) L(right) x lies above L(left)^-1 x, and the first
+        basepoint where they differ decides.  The middles are lifted once, each row
+        reads its two cached point tuples once, and an entry costs one sheet bound,
+        or one unreduced ``cover_image``, per basepoint it reaches."""
         lifts = [(el.mat, el.delta) for el in map(self._lift, middles)]
         return (self._point_row(left, right, middles, lifts) for left, right in pairs)
 
@@ -428,7 +417,7 @@ class DynamicalCone(Cone):
                 if c:
                     yield c
                     break
-            else:   # every basepoint ties, as in sign_of_product
+            else:   # every basepoint ties, and the generic path raises
                 yield Cone.sign_of_product(self, (left, m, right))
 
 
@@ -631,7 +620,10 @@ class AxiomCheckReport:
 
 
 def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
-    """Verify antisymmetry and positive-closure on B_r; first witness wins."""
+    """Verify antisymmetry, then closure on B_r by the census's clauses: a product
+    u v = p of ``ball_products`` breaks closure iff u, v and p^-1 share one sign.
+    The witness is the least positive pair (x, y) with x y negative, the one a
+    scan of every positive pair would find first."""
     ctx = c.ctx
     index = ctx.ball_index(r)
     domain, inv = index.domain, index.inv
@@ -639,12 +631,18 @@ def check_cone_axioms_on_ball(c: Cone, r: int) -> AxiomCheckReport:
     for i, w in enumerate(domain):
         if signs[i] != -signs[inv[i]]:
             return AxiomCheckReport(False, "antisymmetry", (w, domain[inv[i]]), r)
-    positives = [i for i, s in enumerate(signs) if s == 1]
-    for u, v, p in ctx.ball_products(r, among=positives):
-        if signs[p] != 1:
-            return AxiomCheckReport(
-                False, "closure", (domain[u], domain[v], domain[p]), r)
-    return AxiomCheckReport(True, None, (), r)
+    unset = best = (len(domain),)   # above every witness (x, y, x y) of ids
+    for u, v, p in ctx.ball_products(r):
+        if u > best[0]:
+            break   # every id of a later orbit is above u
+        if signs[u] == signs[v] == -signs[p]:
+            # the clause xyz = 1, turned around if negative, gives three
+            # positive products x y = z^-1, y z = x^-1 and z x = y^-1
+            x, y, z = (u, v, inv[p]) if signs[u] > 0 else (p, inv[v], inv[u])
+            best = min(best, (x, y, inv[z]), (y, z, inv[x]), (z, x, inv[y]))
+    if best is unset:
+        return AxiomCheckReport(True, None, (), r)
+    return AxiomCheckReport(False, "closure", tuple(domain[i] for i in best), r)
 
 
 # -- slope detection -----------------------------------------------------------------

@@ -26,15 +26,13 @@ already under a free law; Z^n negates in place, the others normalize it.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
-elements as id triples (all among given ids, else one per orbit of abc = 1):
-a pair loop by default, and a walk on any context whose law is free
-reduction (free groups, and free products of free factors such as
-``zz-free``).
+elements as id triples, one product per orbit of abc = 1: a pair loop by
+default, and a walk on any context whose law is free reduction (free
+groups, and free products of free factors such as ``zz-free``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -264,37 +262,27 @@ class GroupCtx:
             index = balls[key] = BallIndex(self, r, gens)
         return index
 
-    def ball_products(self, r: int, gens: tuple[Word, ...] | None = None,
-                      among=None):
-        """Yield the in-ball products ``(u, v, p)`` of ids.
+    def ball_products(self, r: int, gens: tuple[Word, ...] | None = None):
+        """Yield the in-ball products ``(u, v, p)`` of ids, one per orbit of abc = 1.
 
         Ids are those of ``ball_index(r, gens)``, and
-        ``domain[u] * domain[v] == domain[p]``.  With ``among``, a sorted id
-        list, every product of two ids in it comes.  Without, only those in
-        which ``u`` is the least of u, v, p and their inverses: abc = 1, its
-        rotations and their mirrors (c^-1, b^-1, a^-1) give six products
-        ``a b = c^-1``, and the least element heads one of them, or two when
-        the orbit repeats an element.  Triples come in ascending ``(u, v)``
-        order, one ``u`` row at a time, and identity products are left out.
+        ``domain[u] * domain[v] == domain[p]``, where ``u`` is the least of
+        u, v, p and their inverses: abc = 1, its rotations and their mirrors
+        (c^-1, b^-1, a^-1) give six products ``a b = c^-1``, and the least
+        element heads one of them, or two when the orbit repeats an element.
+        Triples come in ascending ``(u, v)`` order, one ``u`` row at a time,
+        and identity products are left out.
 
         A free law walks the ball when ``gens`` is None (``_walk_products``);
         else every pair goes through ``_product``.  Both read the inverse
-        ids without ``among``, so ``gens`` must be symmetric.
+        ids, so ``gens`` must be symmetric.
         """
         if gens is None and self._free_law:
-            yield from self._walk_products(r, among)
+            yield from self._walk_products(r)
             return
         index = self.ball_index(r, gens)
         syls = [w.syllables for w in index.domain]
         get, product = index.ids.get, self._product
-        if among is not None:
-            for u in among:
-                su = syls[u]
-                for v in among:
-                    p = get(product(su, syls[v]))
-                    if p is not None:
-                        yield u, v, p
-            return
         # u heads its inverse pair, and the pairs of v and p start at u or later
         inv = index.inv
         for u, su in enumerate(syls):
@@ -306,7 +294,7 @@ class GroupCtx:
                     if p is not None and u <= p and u <= inv[p]:
                         yield u, v, p
 
-    def _walk_products(self, r, among):
+    def _walk_products(self, r):
         """In-ball products walked directly: every candidate tried is in the ball.
 
         Write u = u'x and v = x^-1 y with no cancellation in u'y, so uv = u'y.
@@ -337,34 +325,23 @@ class GroupCtx:
             while j:
                 below[j].append(ids[i - 1])
                 j = parent[j]
-        if among is not None:
-            # picked[i]: the positions in below[i] of the ids in among, and those ids
-            keep = set(among)
-            picked = [([k for k, v in enumerate(b) if v in keep],
-                       [v for v in b if v in keep]) for b in below]
-        else:   # the least id of each inverse pair
-            rep = [min(i, j) for i, j in enumerate(index.inv)]
-        for u in ids if among is None else among:
-            if among is None and rep[u] < u:
+        rep = [min(i, j) for i, j in enumerate(index.inv)]   # least id of its pair
+        for u in ids:
+            if rep[u] < u:
                 continue
             row = []
             xinv, head = 0, u + 1   # x^-1 and u' for |x| = 0, 1, ..., |u|
             while True:
-                if xinv and head and (among is None or xinv - 1 in keep):
+                if xinv and head:
                     row.append((ids[xinv - 1], ids[head - 1]))
                 for a, b in zip(child[xinv], child[head]):
-                    if a and b and among is None:
+                    if a and b:
                         row.extend(zip(below[a], below[b]))
-                    elif a and b:
-                        pos, vs = picked[a]
-                        n = bisect_left(pos, len(below[b]))
-                        row.extend(zip(vs[:n], map(below[b].__getitem__, pos[:n])))
                 if not head:
                     break
                 xinv = child[xinv][last[head] ^ 1]
                 head = parent[head]
-            if among is None:
-                row = [(v, p) for v, p in row if u <= rep[v] and u <= rep[p]]
+            row = [(v, p) for v, p in row if u <= rep[v] and u <= rep[p]]
             row.sort()
             for v, p in row:
                 yield u, v, p

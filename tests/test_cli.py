@@ -345,6 +345,19 @@ def test_dynamical_rational_basepoint_exits_2(capsys, argv):
     assert err == "error: dynamical basepoints must be irrational surds\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("sign", "--word", "a"), ("axioms", "--r", "2"),
+])
+def test_dynamical_without_basepoints_exits_2(capsys, argv):
+    # read without error, such a cone would fail every later sign
+    cone = ('{"kind":"dynamical","images":[[[1,2],[0,1]],[[1,0],[2,1]]],'
+            '"basepoints":[]}')
+    code = main([*argv, "--cone", cone])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: a dynamical cone needs at least one basepoint\n"
+
+
 def test_census_command(capsys):
     code, doc = run(capsys, "census", "--group", "klein", "--r", "2")
     assert code == 0
@@ -435,6 +448,21 @@ def test_equivariance_samples_keep_their_stream(capsys):
                         "--kernel", '{"kind":"zsign","sign":1}',
                         "--conjugators", "1,1,1,a", "--samples", "20", "--seed", str(seed))
         assert code == 1 and doc["result"]["witness"]["sample"] == sample
+
+
+@pytest.mark.parametrize("samples,code", [("5", 2), ("0", 0)])
+def test_equivariance_empty_conjugators(capsys, samples, code):
+    # with samples to draw, an empty list is named; with none, it is not needed
+    assert main(["equivariance", "--ses", "sol",
+                 "--theta-const", '{"kind":"zsign","sign":1}',
+                 "--kernel", '{"kind":"slope","a":[1,0],"variant":"++"}',
+                 "--conjugators", "", "--samples", samples]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "Traceback" not in err
+        assert err == "error: --conjugators is empty: no conjugator to sample\n"
+    else:
+        assert json.loads(out)["result"]["ok"] is True
 
 
 def test_unknown_descriptor_exits_2(capsys):

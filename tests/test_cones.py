@@ -598,18 +598,43 @@ class _FlippedPair(Cone):
         return -s if w in self.flipped else s
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_axioms_closure_witness_is_first_positive_pair(seed):
-    r = 4
-    ball = [w for w in F2.ball(r) if not w.is_identity()]
-    short = [w for w in ball if w.length() <= 2]
-    c = _FlippedPair(dynamical_cone(), random.Random(seed).choice(short))
+_WITNESS_FAMILIES = {   # a cone and a radius: the walk on F2, else the pair loop
+    "f2-dynamical": (dynamical_cone, 4),
+    "klein": (lambda: klein_cones()[1], 4),
+    "z2-slope": (lambda: slope_cone((2, -3), "+-"), 4),
+    "sol-lex": (lambda: lex_cone(SOL_SES, slope_cone((1, 0), "++", SOL_SES.kernel),
+                                 z_cone(ctx=SOL_SES.quotient)), 3),
+    "zxf2-lex": (lambda: lex_cone(ZXF2_SES, z_cone(ctx=ZXF2_SES.kernel),
+                                  dynamical_cone(ZXF2_SES.quotient)), 2),
+}
+
+
+@pytest.mark.parametrize("family", list(_WITNESS_FAMILIES))
+def test_axioms_closure_witness_is_first_positive_pair(family):
+    make, r = _WITNESS_FAMILIES[family]
+    base = make()
+    ctx = base.ctx
+    ball = [w for w in ctx.ball(r) if not w.is_identity()]
     in_ball = set(ball)
-    positives = [w for w in ball if c.sign(w) == 1]
-    expected = next((u, v, F2.mul(u, v)) for u in positives for v in positives
-                    if F2.mul(u, v) in in_ball and c.sign(F2.mul(u, v)) == -1)
-    rep = check_cone_axioms_on_ball(c, r)
-    assert (rep.ok, rep.kind, rep.words) == (False, "closure", expected)
+    short = [w for w in ball if w.length() <= 2]
+    negative = 0
+    for seed in range(24):
+        c = base
+        for w in random.Random(seed).sample(short, 1 + seed % 3):
+            c = _FlippedPair(c, w)
+        positives = [w for w in ball if c.sign(w) == 1]
+        expected = next(((u, v, ctx.mul(u, v)) for u in positives for v in positives
+                         if ctx.mul(u, v) in in_ball and c.sign(ctx.mul(u, v)) == -1),
+                        None)   # two flips can undo each other
+        rep = check_cone_axioms_on_ball(c, r)
+        assert (rep.ok, rep.kind, rep.words) == (
+            (True, None, ()) if expected is None else (False, "closure", expected))
+        # a failing clause that is all negative is turned around
+        signs = [c.sign(w) for w in ball]
+        negative += any(signs[u] == signs[v] == -signs[p] == -1
+                        for u, v, p in ctx.ball_products(r))
+    assert negative
+    assert check_cone_axioms_on_ball(base, r).ok
 
 
 def test_axioms_free_closure_tries_only_in_ball_products(monkeypatch):

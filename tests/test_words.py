@@ -607,14 +607,13 @@ def test_box_generators_ball():
 
 # -- in-ball products -----------------------------------------------------------
 
-def _pair_loop_products(ctx, r, gens=None, among=None):
+def _pair_loop_products(ctx, r, gens=None):
     """Every (u, v, p) with ball[u] * ball[v] == ball[p], by trying all pairs."""
     ball = [w for w in ctx.ball(r, gens) if not w.is_identity()]
     pos = {w: i for i, w in enumerate(ball)}
-    ids = range(len(ball)) if among is None else among
     out = []
-    for u in ids:
-        for v in ids:
+    for u in range(len(ball)):
+        for v in range(len(ball)):
             p = pos.get(ctx.mul(ball[u], ball[v]))
             if p is not None:
                 out.append((u, v, p))
@@ -641,16 +640,11 @@ KLEIN_FREE_Z = FreeProductCtx((KleinCtx(), ZPowCtx(1, ("z",))))
         "f2-r3-gens", "square-amalgam-r4"])
 def test_ball_products_match_pair_loop(ctx, r, gens):
     # the list compares both the triple set and the ascending (u, v) order;
-    # without among, only the products headed by the least id of u, v, p
-    # and their inverses
+    # only the products headed by the least id of u, v, p and their inverses
     inv = ctx.ball_index(r, gens).inv
     least = [t for t in _pair_loop_products(ctx, r, gens)
              if t[0] == min(x for i in t for x in (i, inv[i]))]
     assert list(ctx.ball_products(r, gens)) == least
-    n = len(ctx.ball(r, gens)) - 1
-    among = sorted(random.Random(n).sample(range(n), n // 2))
-    assert (list(ctx.ball_products(r, gens, among))
-            == _pair_loop_products(ctx, r, gens, among))
 
 
 @pytest.mark.parametrize("ctx", [F2, Z2], ids=["f2", "z2"])
