@@ -5,8 +5,10 @@ nonidentity; elements are stored as reduced words in that basis with labels
 kept in factor normal form.  Decomposition peels letters against the
 Schreier transversal {g h}: H-letters never emit a basis letter, a G-letter
 z at state (g, h) emits x[g,h] x[gz,h]^-1 with degenerate labels dropped.
-Over a syllable z^e these telescope to x[g,h] x[g z^e,h]^-1, so each
-syllable costs one step whatever the size of e.
+Over a factor run r these telescope to x[g,h] x[gr,h]^-1: one step per run
+of the normal form.  The state is a pair of factor normal forms and ends as
+the two projections, so the same pass refuses a word outside the kernel.
+Labels stay syllable tuples; ``Word``s are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWordError, NotInKernelError
-from .words import FreeProductCtx, Word
+from .surd import repeated_squaring
+from .words import FreeProductCtx, Syllables, Word
 
 Letter = tuple[Word, Word, int]
 
@@ -25,18 +28,14 @@ def check_two_factor(ctx) -> FreeProductCtx:
     return ctx
 
 
-def _reduce_letters(letters) -> tuple[Letter, ...]:
-    out: list[list] = []
-    for gl, hl, e in letters:
-        if e == 0 or gl.is_identity() or hl.is_identity():
-            continue  # x[1,h] = x[g,1] = identity
-        if out and out[-1][0] == gl and out[-1][1] == hl:
-            out[-1][2] += e
-            if out[-1][2] == 0:
-                out.pop()
-        else:
-            out.append([gl, hl, e])
-    return tuple((g, h, e) for g, h, e in out)
+def _runs(ctx: FreeProductCtx, syllables: Syllables) -> list[tuple[int, Syllables]]:
+    """(factor, factor normal form) for each factor run of a normal form."""
+    factor_of, offsets, out = ctx._factor, ctx.offsets, []
+    for g, e in syllables:
+        i = factor_of[g]
+        run = out.pop()[1] if out and out[-1][0] == i else ()  # extend an open run
+        out.append((i, run + ((g - offsets[i], e),)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,26 @@ class KernelBasisWord:
                         for g, h, e in self.letters)
 
 
+def _reduce_letters(ctx: FreeProductCtx, letters) -> KernelBasisWord:
+    """The reduced basis word of letters labelled by factor normal forms."""
+    out: list[list] = []
+    for g, h, e in letters:
+        if not (e and g and h):
+            continue  # x[1,h] = x[g,1] = identity
+        if out and out[-1][0] == g and out[-1][1] == h:
+            out[-1][2] += e
+            if out[-1][2] == 0:
+                out.pop()
+        else:
+            out.append([g, h, e])
+    gf, hf = ctx.factors
+    return KernelBasisWord(ctx, tuple((Word(gf, g, True), Word(hf, h, True), e)
+                                      for g, h, e in out))
+
+
 def basis_word(ctx: FreeProductCtx, letters) -> KernelBasisWord:
-    ctx = check_two_factor(ctx)
-    normd = []
-    for gl, hl, e in letters:
-        normd.append((ctx.factors[0].normalize(gl), ctx.factors[1].normalize(hl), e))
-    return KernelBasisWord(ctx, _reduce_letters(normd))
+    gf, hf = check_two_factor(ctx).factors
+    return _reduce_letters(ctx, [(gf._nf(g), hf._nf(h), e) for g, h, e in letters])
 
 
 def fp_project(w: Word) -> tuple[Word, Word]:
@@ -70,78 +83,65 @@ def fp_project(w: Word) -> tuple[Word, Word]:
 
 
 def kernel_decompose(w: Word) -> KernelBasisWord:
-    """Express a kernel element in the commutator basis by left-to-right peeling,
-    one syllable at a time."""
+    """Express a kernel element in the commutator basis by left-to-right peeling."""
     ctx = check_two_factor(w.ctx)
-    g_part, h_part = fp_project(w)
-    if not (g_part.is_identity() and h_part.is_identity()):
-        raise NotInKernelError(f"{w!r} projects to ({g_part!r}, {h_part!r})")
     gf, hf = ctx.factors
-    g_acc, h_acc = gf.identity(), hf.identity()
-    letters: list[Letter] = []
-    for gid, exp in ctx.normalize(w).syllables:
-        i = ctx.factor_of(gid)
-        syllable = Word(ctx.factors[i], ((gid - ctx.offsets[i], exp),), True)
-        if i == 1:
-            h_acc = hf.mul(h_acc, syllable)
+    g_acc = h_acc = ()
+    letters = []
+    for i, run in _runs(ctx, ctx._nf(w)):
+        if i:
+            h_acc = hf._product(h_acc, run)
         else:
-            moved = gf.mul(g_acc, syllable)
-            letters.append((g_acc, h_acc, 1))
-            letters.append((moved, h_acc, -1))
+            moved = gf._product(g_acc, run)
+            letters += ((g_acc, h_acc, 1), (moved, h_acc, -1))
             g_acc = moved
-    return KernelBasisWord(ctx, _reduce_letters(letters))
+    if g_acc or h_acc:  # the state after the last run is the projection
+        g, h = Word(gf, g_acc, True), Word(hf, h_acc, True)
+        raise NotInKernelError(f"{w!r} projects to ({g!r}, {h!r})")
+    return _reduce_letters(ctx, letters)
 
 
 def expand(k: KernelBasisWord) -> Word:
     """Rewrite a basis word as a group word: x[g,h] = g h g^-1 h^-1."""
-    ctx = k.ctx
-    out = ctx.identity()
+    ctx, product, out = k.ctx, k.ctx._product, ()
+    gf, hf = ctx.factors
     for gl, hl, e in k.letters:
-        g = ctx.embed_factor(0, gl)
-        h = ctx.embed_factor(1, hl)
-        comm = ctx.mul(ctx.mul(g, h), ctx.mul(ctx.inv(g), ctx.inv(h)))
-        out = ctx.mul(out, comm ** e)
-    return out
+        g, h = ctx._global(0, gf._nf(gl)), ctx._global(1, hf._nf(hl))
+        if e < 0:  # x[g,h]^-1 = h g h^-1 g^-1
+            g, h = h, g
+        comm = product(product(g, h), product(ctx._inverse(g), ctx._inverse(h)))
+        out = product(out, repeated_squaring(comm, abs(e), product, ()))
+    return Word(ctx, out, True)
 
 
 def conj_basis(ctx: FreeProductCtx, label: tuple[Word, Word],
                by: Word) -> KernelBasisWord:
     """Conjugate of the basis letter x[g,h] by a group element.
 
-    Conjugators of the shapes a, b and a b (factor elements, in that order)
-    use the closed-form rewriting; anything else expands and re-decomposes.
+    Conjugators of the shapes 1, a, b and a b (a in G and b in H, in that
+    order, each one factor run of any number of syllables) use the closed
+    form; anything else expands and re-decomposes.
     Degenerate letters vanish under the x[1,.] = x[.,1] = 1 convention.
     """
     ctx = check_two_factor(ctx)
     gf, hf = ctx.factors
-    g = gf.normalize(label[0])
-    h = hf.normalize(label[1])
-    if g.is_identity() or h.is_identity():
-        return KernelBasisWord(ctx, ())
-    by = ctx.normalize(by)
-    runs = [ctx.factor_of(gid) for gid, _ in by.syllables]
-    if not runs:
-        return basis_word(ctx, [(g, h, 1)])
-    if runs == [0]:
-        a = ctx.factor_word(0, by)
-        return basis_word(ctx, [(gf.mul(a, g), h, 1), (a, h, -1)])
-    if runs == [1]:
-        b = ctx.factor_word(1, by)
-        return basis_word(ctx, [(g, b, -1), (g, hf.mul(b, h), 1)])
-    if runs == [0, 1]:
-        a = ctx.factor_word(0, by)
-        b = ctx.factor_word(1, by)
-        return basis_word(ctx, [(a, b, 1),
-                                (gf.mul(a, g), b, -1),
-                                (gf.mul(a, g), hf.mul(b, h), 1),
-                                (a, hf.mul(b, h), -1)])
-    return conj_decomposed(ctx, (g, h), by)
+    g, h = gf._nf(label[0]), hf._nf(label[1])
+    runs = _runs(ctx, ctx._nf(by))
+    if [i for i, _ in runs] not in ([], [0], [1], [0, 1]):
+        return conj_decomposed(ctx, label, by)
+    # ab x[g,h] (ab)^-1 = x[a,b] x[ag,b]^-1 x[ag,bh] x[a,bh]^-1, a missing part
+    # read as 1; for g = 1 or h = 1 the four letters cancel in pairs
+    a, b = (dict(runs).get(i, ()) for i in (0, 1))
+    ag, bh = gf._product(a, g), hf._product(b, h)
+    return _reduce_letters(ctx, [(a, b, 1), (ag, b, -1), (ag, bh, 1), (a, bh, -1)])
 
 
 def conj_decomposed(ctx: FreeProductCtx, label: tuple[Word, Word],
                     by: Word) -> KernelBasisWord:
     """x[g,h] conjugated by ``by`` as a group word, decomposed again."""
-    return kernel_decompose(ctx.conj(by, expand(basis_word(ctx, [(*label, 1)]))))
+    x, c = expand(basis_word(ctx, [(*label, 1)])).syllables, ctx._nf(by)
+    conjugate = ctx._product(ctx._product(c, x), ctx._inverse(c))
+    return kernel_decompose(Word(ctx, conjugate, True))
 
 
 def exponent_sum(k: KernelBasisWord, label: tuple[Word, Word]) -> int:

@@ -171,6 +171,32 @@ def test_conj_basis_command(capsys):
         {"g": [["a", 1]], "h": [["b", 2]], "e": 1}]
 
 
+def test_kernel_decompose_refuses_a_non_kernel_word(capsys):
+    assert main(["kernel-decompose", "--word", "a"]) == 2
+    assert capsys.readouterr() == ("", "error: a projects to (a, 1)\n")
+
+
+KLEIN_F2 = ('{"family":"free_product","factors":[{"family":"klein"},'
+            '{"family":"free","rank":2,"gens":["a","b"]}]}')
+
+
+# the conj-basis conjugator normalizes to y^-1 x a^2: a two-syllable G part
+@pytest.mark.parametrize("argv,sha256", [
+    (("verify-identities", "--count", "300", "--seed", "7", "--max-exp", "1"),
+     "49655f858aff2e7e14f4f36d298caefe4e7b491c9c5475f6a839b64f94ffd5a3"),
+    (("verify-identities", "--count", "300", "--seed", "7", "--max-exp", "50"),
+     "f9c08858e3a645af6bd79e99c8934df2c7c10b9cf7e7b263c0bf01135a18fdab"),
+    (("conj-basis", "--group", KLEIN_F2, "--g", "y^-1 x", "--h", "a",
+      "--by", "x y a^2"),
+     "c4b458aa86693cb75fa53fefbc1d3e72d81f1b853f3bcbcdffb004d7ef084f9c"),
+], ids=["verify-identities-max-exp-1", "verify-identities-max-exp-50",
+        "conj-basis-klein-f2"])
+def test_kernel_layer_bytes_pinned(capsys, argv, sha256):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_closure_criterion_command(capsys):
     letters = json.dumps([{"g": "a^3", "h": "b", "e": 1}])
     labels = json.dumps([{"g": "a", "h": "b"}, {"g": "a^2", "h": "b^2"}])

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from leftorder.errors import NotInKernelError
+from leftorder import freeprod
+from leftorder.errors import MalformedWordError, NotInKernelError
 from leftorder.freeprod import (
-    basis_word, conj_basis, expand, exponent_sum, fp_project,
+    basis_word, conj_basis, conj_decomposed, expand, exponent_sum, fp_project,
     kernel_decompose, normal_closure_criterion,
 )
-from leftorder.words import FreeCtx, FreeProductCtx, KleinCtx, ZPowCtx
+from leftorder.words import FreeCtx, FreeProductCtx, KleinCtx, Word, ZPowCtx
 
 ZZ = FreeProductCtx((ZPowCtx(1, ("a",)), ZPowCtx(1, ("b",))))
 G, H = ZZ.factors
+# two products whose factors have normal forms of more than one syllable
+FZ = FreeProductCtx((FreeCtx(2, ("a", "b")), ZPowCtx(1, ("t",))))
+KF = FreeProductCtx((KleinCtx(), FreeCtx(2, ("a", "b"))))
 A = lambda i: G.word([("a", i)])
 B = lambda j: H.word([("b", j)])
 
@@ -210,20 +214,21 @@ def _peel_letter_by_letter(word):
     return basis_word(ctx, letters)
 
 
-@pytest.mark.parametrize("ctx", [
-    ZZ,
-    FreeProductCtx((FreeCtx(2, ("a", "b")), ZPowCtx(1, ("t",)))),
-    FreeProductCtx((KleinCtx(), FreeCtx(2, ("a", "b")))),
-])
+def _kernel_word(ctx, rng):
+    """A random word times the inverses of its two projections."""
+    n = len(ctx.gen_names)
+    u = ctx.word([(rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+                  for _ in range(rng.randint(0, 7))])
+    g, h = fp_project(u)
+    return ctx.mul(ctx.mul(u, ctx.inv(ctx.embed_factor(1, h))),
+                   ctx.inv(ctx.embed_factor(0, g)))
+
+
+@pytest.mark.parametrize("ctx", [ZZ, FZ, KF])
 def test_closed_form_peeling_matches_letter_by_letter(ctx):
     rng = random.Random(7)
-    n = sum(len(f.gen_names) for f in ctx.factors)
     for _ in range(300):
-        u = ctx.word([(rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
-                      for _ in range(rng.randint(0, 7))])
-        g, h = fp_project(u)
-        word = ctx.mul(ctx.mul(u, ctx.inv(ctx.embed_factor(1, h))),
-                       ctx.inv(ctx.embed_factor(0, g)))
+        word = _kernel_word(ctx, rng)
         assert kernel_decompose(word) == _peel_letter_by_letter(word)
 
 
@@ -234,3 +239,100 @@ def test_huge_exponents_peel_in_one_step():
     by = w(("a", n))
     assert conj_basis(ZZ, (A(1), B(1)), by) == kernel_decompose(
         ZZ.conj(by, expand(basis_word(ZZ, [(A(1), B(1), 1)]))))
+
+
+# -- the closed forms stand apart from the peeling ----------------------------------
+
+def _factor_word(rng, f):
+    return f.word([(rng.randrange(len(f.gen_names)), rng.choice((-2, -1, 1, 2)))
+                   for _ in range(rng.randint(0, 3))])
+
+
+def _refuse(*args):
+    raise AssertionError("a closed-form conjugate reached the peeling path")
+
+
+@pytest.mark.parametrize("ctx,g,h,by,syllables", [
+    (FZ, [("a", 1)], [("t", 2)], [("a", 1), ("b", 1)], ((0, 1), (1, 1))),
+    (KF, [("y", -1), ("x", 1)], [("a", 1)], [("y", -1), ("x", 1), ("a", 1)],
+     ((1, -1), (0, 1), (2, 1))),
+])
+def test_multi_syllable_factor_parts_take_the_closed_form(monkeypatch, ctx, g, h,
+                                                          by, syllables):
+    label, by = (ctx.factors[0].word(g), ctx.factors[1].word(h)), ctx.word(by)
+    assert by.syllables == syllables  # the G part alone has two syllables
+    general = conj_decomposed(ctx, label, by)
+    monkeypatch.setattr(freeprod, "kernel_decompose", _refuse)
+    monkeypatch.setattr(freeprod, "conj_decomposed", _refuse)
+    assert conj_basis(ctx, label, by) == general
+
+
+@pytest.mark.parametrize("ctx", [ZZ, FZ, KF])
+def test_closed_forms_never_reach_the_peeling(monkeypatch, ctx):
+    # verify-identities compares conj_basis with conj_decomposed, so every
+    # shape 1, a, b, ab must be answered without kernel_decompose
+    rng = random.Random(11)
+    gf, hf = ctx.factors
+    cases, longest = [], 0
+    for _ in range(100):
+        label = (_factor_word(rng, gf), _factor_word(rng, hf))
+        a, b = _factor_word(rng, gf), _factor_word(rng, hf)
+        longest = max(longest, len(a.syllables), len(b.syllables))
+        a, b = ctx.embed_factor(0, a), ctx.embed_factor(1, b)
+        for by in (ctx.identity(), a, b, ctx.mul(a, b)):
+            lhs = ctx.conj(by, expand(basis_word(ctx, [(*label, 1)])))
+            cases.append((label, by, lhs, conj_decomposed(ctx, label, by)))
+    assert (longest > 1) == (ctx is not ZZ)  # rank-1 factors: one syllable each
+    monkeypatch.setattr(freeprod, "kernel_decompose", _refuse)
+    monkeypatch.setattr(freeprod, "conj_decomposed", _refuse)
+    for label, by, lhs, general in cases:
+        closed = conj_basis(ctx, label, by)
+        assert closed == general and expand(closed) == lhs
+
+
+# -- refusals -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("word,message", [
+    (ZZ.word([("a", 2), ("b", 1)]), "a^2*b projects to (a^2, b)"),
+    (Word(ZZ, ((0, 1), (0, 1), (1, 1), (0, -1))), "a*a*b*a^-1 projects to (a, b)"),
+    (KF.word([("x", 1), ("y", 1), ("a", 1), ("y", -1)]),
+     "y^-1*x*a*y^-1 projects to (x, a)"),
+    (Word(KF, ((2, 1), (0, 1), (1, 2), (2, -1), (1, -1))),
+     "a*x*y^2*a^-1*y^-1 projects to (y^-1*x, 1)"),
+    (FZ.word([("a", 1), ("t", 2), ("b", -1)]), "a*t^2*b^-1 projects to (a*b^-1, t^2)"),
+], ids=["zz", "zz-unreduced", "klein-f2", "klein-f2-unreduced", "f2-z"])
+def test_non_kernel_word_refused_with_its_projection(word, message):
+    with pytest.raises(NotInKernelError) as err:
+        kernel_decompose(word)
+    g, h = fp_project(word)
+    assert str(err.value) == message == f"{word!r} projects to ({g!r}, {h!r})"
+
+
+@pytest.mark.parametrize("ctx", [ZZ, FZ, KF])
+def test_unreduced_hand_built_word_decomposes_as_its_normal_form(ctx):
+    rng = random.Random(5)
+    for _ in range(100):
+        syls = list(_kernel_word(ctx, rng).syllables)
+        gid, e = rng.randrange(len(ctx.gen_names)), rng.choice((-2, 1, 3))
+        at = rng.randint(0, len(syls))
+        syls[at:at] = [(gid, e), (gid, 0), (gid, -e)]
+        raw = Word(ctx, tuple(syls))
+        assert not raw.nf
+        assert kernel_decompose(raw) == kernel_decompose(ctx.normalize(raw))
+
+
+@pytest.mark.parametrize("gid", [2, -1])
+def test_out_of_range_generator_refused(gid):
+    with pytest.raises(MalformedWordError, match=f"generator id {gid} out of range"):
+        kernel_decompose(Word(ZZ, ((0, 1), (gid, 1), (0, -1))))
+
+
+@pytest.mark.parametrize("ctx", [ZZ, FZ, KF])
+def test_expand_then_decompose_round_trips(ctx):
+    rng = random.Random(13)
+    gf, hf = ctx.factors
+    for _ in range(200):
+        k = basis_word(ctx, [(_factor_word(rng, gf), _factor_word(rng, hf),
+                              rng.choice((-3, -2, -1, 1, 2, 3)))
+                             for _ in range(rng.randint(0, 5))])
+        assert kernel_decompose(expand(k)) == k
