@@ -41,7 +41,7 @@ def _exact_comparable(c: Cone) -> bool:
     return False
 
 
-def _distinct_witness(c1: Cone, c2: Cone) -> Word | None:
+def _distinct_witness(c1: Cone, c2: Cone, rows: dict | None = None) -> Word | None:
     """Some word the two (structurally distinct) canonical cones sign apart."""
     if isinstance(c1, SlopeCone) and isinstance(c2, SlopeCone):
         d1 = c1.slope().vec
@@ -57,33 +57,53 @@ def _distinct_witness(c1: Cone, c2: Cone) -> Word | None:
                     return word
         return None
     if isinstance(c1, LexCone) and isinstance(c2, LexCone) and c1.ses == c2.ses:
-        kw = _first_ball_difference(c1.kernel_cone, c2.kernel_cone, 2)
-        kw = kw or _distinct_witness(c1.kernel_cone, c2.kernel_cone)
+        kw = _first_ball_difference(c1.kernel_cone, c2.kernel_cone, 2, rows)
+        kw = kw or _distinct_witness(c1.kernel_cone, c2.kernel_cone, rows)
         if kw is not None:
             return c1.ses.inject(kw)
-        qw = _first_ball_difference(c1.quotient_cone, c2.quotient_cone, 2)
-        qw = qw or _distinct_witness(c1.quotient_cone, c2.quotient_cone)
+        qw = _first_ball_difference(c1.quotient_cone, c2.quotient_cone, 2, rows)
+        qw = qw or _distinct_witness(c1.quotient_cone, c2.quotient_cone, rows)
         if qw is not None:
             return c1.ses.section(qw)
         return None
-    return _first_ball_difference(c1, c2, 4)
+    return _first_ball_difference(c1, c2, 4, rows)
 
 
-def _first_ball_difference(c1: Cone, c2: Cone, r: int) -> Word | None:
-    for w in c1.ctx.ball(r):
-        if not w.is_identity() and c1.sign(w) != c2.sign(w):
+def _first_ball_difference(c1: Cone, c2: Cone, r: int,
+                           rows: dict | None = None) -> Word | None:
+    """The first word of B_r minus 1, in shortlex order, the cones sign apart.
+
+    ``rows`` holds each cone's signs over that domain, keyed by the cone's
+    id and r, so a caller that compares one cone many times signs each word
+    for it once.  A row grows only as far as a scan reads, so the signs are
+    taken, and any error raised, in the order of a scan without rows.
+    """
+    rows = {} if rows is None else rows
+    row1, row2 = _sign_row(rows, c1, r), _sign_row(rows, c2, r)
+    for i, w in enumerate(c1.ctx.ball_index(r).domain):
+        if i == len(row1):
+            row1.append(c1.sign(w))
+        if i == len(row2):
+            row2.append(c2.sign(w))
+        if row1[i] != row2[i]:
             return w
     return None
 
 
+def _sign_row(rows: dict, c: Cone, r: int) -> list[int]:
+    # the entry holds the cone, so its id is not reused while the row lives
+    return rows.setdefault((id(c), r), (c, []))[1]
+
+
 def cone_equal(c1: Cone, c2: Cone, strategy: str = "exact",
-               radius: int = 4) -> EqualityResult:
+               radius: int = 4, rows: dict | None = None) -> EqualityResult:
     """Decide cone equality.
 
     "exact" decides canonical descriptors (slope, Klein, Z-sign and lex
     cones built from them) and answers equal for equal dynamical descriptors;
     "ball" compares signs on B_radius and answers unknown when descriptors
-    are not canonically comparable.
+    are not canonically comparable.  ``rows`` are sign rows to share between
+    calls, as in ``_first_ball_difference``.
     """
     if c1.ctx != c2.ctx:
         raise ContextMismatchError("cones live on different contexts")
@@ -93,12 +113,12 @@ def cone_equal(c1: Cone, c2: Cone, strategy: str = "exact",
         # distinct basepoints can still give one order, so only == decides
         if s1 == s2 and (exact or isinstance(s1, DynamicalCone)):
             return EqualityResult("equal")
-        w = _distinct_witness(s1, s2) if exact else None
+        w = _distinct_witness(s1, s2, rows) if exact else None
         if w is None:  # no "distinct" without a word that shows it
             return EqualityResult("unknown", radius=0)
         return EqualityResult("distinct", witness=w)
     if strategy == "ball":
-        w = _first_ball_difference(c1, c2, radius)
+        w = _first_ball_difference(c1, c2, radius, rows)
         if w is not None:
             return EqualityResult("distinct", witness=w, radius=radius)
         if c1.simplified() == c2.simplified():
@@ -125,7 +145,12 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
 
     A conjugate equal to the rep with its simplified descriptor is dropped
     unscanned: cone_equal reads only descriptors, and those of the reps
-    before that one all came out "distinct" against it.
+    before that one all came out "distinct" against it.  The comparisons
+    share one dict of sign rows, so each cone signs a ball word once.
+
+    An "exceeded-bound" report keeps the first ``max_size`` representatives
+    but every witness found, so the witnesses of the dropped candidate name
+    index ``max_size``, a cone the report does not hold.
     """
     ctx = c.ctx
     gens = []
@@ -140,6 +165,7 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
         index[c.simplified()] = 0
     frontier = [c]
     witnesses = []
+    rows = {}
     while frontier:
         nxt = []
         for rep in frontier:
@@ -150,12 +176,12 @@ def orbit(c: Cone, conjugators, strategy: str = "exact", radius: int = 4,
                 with suppress(TypeError):
                     k = index.setdefault(cand.simplified(), k)
                 if (k < len(reps) and cone_equal(cand, reps[k], strategy,
-                                                 radius).verdict == "equal"):
+                                                 radius, rows).verdict == "equal"):
                     continue
                 seen = False
                 found = []
                 for j, known in enumerate(reps):
-                    res = cone_equal(cand, known, strategy, radius)
+                    res = cone_equal(cand, known, strategy, radius, rows)
                     if res.verdict == "equal":
                         seen = True
                         break

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         group={"default": None}, cone={"required": True},
         conjugators={"required": True}, strategy={"default": "exact"},
         radius={"type": _int_from(0), "default": 4},
-        max_size={"type": _int_from(0), "default": 64})
+        max_size={"type": _int_from(1), "default": 64})
     add("conradian", _cmd_conradian,
         group={"default": None}, cone={"required": True},
         r={"type": _int_from(0), "default": 4},

@@ -118,21 +118,27 @@ def convexity_check(c: Cone, member, r: int) -> ConvexityReport:
 
     ``member`` is the subgroup's membership predicate, as ``cyclic_subgroup``
     returns it.  Scans shortlex triples (c1 outermost, then f, then c2) over
-    B_r, so the returned witness is the canonical first one.
+    B_r, so the returned witness is the canonical first one.  The c2 scan
+    does not depend on c1: it runs once per outsider f, at the first c1
+    below f, and a scan that finds no c2 marks f so that no later c1
+    repeats it.
     """
     ctx = c.ctx
     ball = ctx.ball(r)
-    members = [(w, ctx.inv(w)) for w in ball if member(w)]
+    members = [w for w in ball if member(w)]
     outsiders = [(w, ctx.inv(w)) for w in ball if not member(w)]
-    for c1, c1_inv in members:
-        for f, f_inv in outsiders:
-            # c1^-1 f and f^-1 c2 cannot be trivial: c1, c2 are members, f is not
-            if c.sign(ctx.mul(c1_inv, f)) != 1:
+    topped = set()   # outsiders with no member c2 above them
+    for c1 in members:
+        c1_inv = ctx.inv(c1)
+        for i, (f, f_inv) in enumerate(outsiders):
+            # c1^-1 f and f^-1 c2 cannot be trivial: c1, c2 are members, f is not;
+            # the sign comes first, so an error it raises surfaces as in a plain scan
+            if c.sign(ctx.mul(c1_inv, f)) != 1 or i in topped:
                 continue
-            for c2, _ in members:
-                if c.sign(ctx.mul(f_inv, c2)) != 1:
-                    continue
-                return ConvexityReport(False, r, (c1, f, c2))
+            for c2 in members:
+                if c.sign(ctx.mul(f_inv, c2)) == 1:
+                    return ConvexityReport(False, r, (c1, f, c2))
+            topped.add(i)
     return ConvexityReport(True, r)
 
 

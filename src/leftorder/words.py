@@ -23,6 +23,9 @@ one that cancels and merges only where the two words meet.  Their
 ``_normalize`` multiplies the normal forms of the two halves of the syllables.
 ``inv`` wraps ``_inverse``, which reverses and negates a normal form, reduced
 already under a free law; Z^n negates in place, the others normalize it.
+The semidirect normal form sums each run of lattice letters and moves the
+sum by A^k once, but still looks A^k up for every lattice letter it reads,
+so the power cap sees every exponent a word reaches.
 
 ``ball_index`` numbers a word ball once per context (``ball`` is its list
 view), and ``ball_products`` yields the in-ball products of two of its
@@ -614,20 +617,29 @@ class SemidirectCtx(GroupCtx):
             raise MalformedWordError("semidirect action matrix must be unimodular")
 
     def state(self, syllables) -> tuple[int, int, int]:
+        A1, A2, T = self.A1, self.A2, self.T
         v1 = v2 = k = 0
+        d1 = d2 = 0  # the run of lattice letters read at k, moved by A^k (if k) when it ends
         m, at = MAT_IDENTITY, 0  # m = A^at, caught up with k when a lattice letter needs it
         # A^k for |k| <= 64 once its growth check passed, kept as ball_index keeps balls
         powers = vars(self).setdefault("_powers", {})
-        for g, e in syllables:
-            if g == self.T:
+        for g, e in (*syllables, (T, 0)):   # the closing t^0 ends the last run
+            if g == T:
+                if d1 or d2:
+                    if k:
+                        d1, d2 = m.apply_vec((d1, d2))
+                    v1, v2, d1, d2 = v1 + d1, v2 + d2, 0, 0
                 k += e
-            elif g in (self.A1, self.A2):
-                if at != k:  # A^k itself, so the power cap sees the exponent
+            elif g == A1 or g == A2:
+                # A^k itself, even in a run that sums to 0: the power cap sees k
+                if at != k:
                     m, at = powers.get(k) or self.matrix.power(k), k
                     if -64 <= k <= 64:
                         powers[k] = m
-                dv = m.apply_vec((e, 0) if g == self.A1 else (0, e))
-                v1, v2 = v1 + dv[0], v2 + dv[1]
+                if g == A1:
+                    d1 += e
+                else:
+                    d2 += e
             else:
                 raise MalformedWordError(f"generator id {g} out of range")
         return v1, v2, k

@@ -409,6 +409,21 @@ def test_orbit_ball_strategy(capsys):
     assert doc["result"]["size"] == 2
 
 
+def test_orbit_max_size_below_one_exits_2(capsys):
+    # a report of no representatives would still name rep 1 in a witness
+    argv = ["orbit", "--cone", '{"kind":"klein","ex":1,"ey":1}',
+            "--conjugators", "x,y", "--max-size"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --max-size: 0 is below 1\n")
+    code, doc = run(capsys, *argv, "1")
+    assert code == 0
+    assert doc["result"]["size"] == "exceeded-bound"
+    assert len(doc["result"]["representatives"]) == 1
+
+
 def test_slope_of_restriction_via_cli(capsys):
     cone = json.dumps({
         "kind": "restriction",

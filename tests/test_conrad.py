@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from leftorder.conrad import (
@@ -5,7 +7,7 @@ from leftorder.conrad import (
     order_hom_check,
 )
 from leftorder.cones import (
-    KleinCone, dynamical_cone, klein_cones, lex_cone, slope_cone, z_cone,
+    Cone, KleinCone, dynamical_cone, klein_cones, lex_cone, slope_cone, z_cone,
 )
 from leftorder.errors import InvalidHomError
 from leftorder.serialize import word_from_pairs
@@ -118,6 +120,73 @@ def test_x_axis_not_convex_under_diagonal_slope():
     assert c1 == Z2.identity()
     assert f == Z2.from_vector((0, -1))
     assert c2 == Z2.from_vector((1, 0))
+
+
+def _convexity_triple_loop(c, member, r):
+    """The first (c1, f, c2) of the plain triple loop, with no memo, or None."""
+    ctx = c.ctx
+    ball = ctx.ball(r)
+    members = [w for w in ball if member(w)]
+    outsiders = [w for w in ball if not member(w)]
+    for c1 in members:
+        for f in outsiders:
+            if c.sign(ctx.mul(ctx.inv(c1), f)) != 1:
+                continue
+            for c2 in members:
+                if c.sign(ctx.mul(ctx.inv(f), c2)) == 1:
+                    return c1, f, c2
+    return None
+
+
+def _convexity_cases(family, rng):
+    """(cone, subgroup generator, radius) drawn for one family."""
+    if family == "slope":
+        a = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.7 else (0, 1)
+        a = a if a != (0, 0) else (1, 2)
+        cone = slope_cone(a, rng.choice(("++", "+-", "-+", "--")))
+        gen = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if gen == (0, 0) or rng.random() < 0.3:   # the slope's own line: convex
+            gen = cone.slope().vec
+        return cone, Z2.from_vector(gen), 5
+    if family == "klein":
+        cone = KleinCone(KLEIN, rng.choice((1, -1)), rng.choice((1, -1)))
+        gen = KLEIN.word([(rng.randrange(2), rng.choice((-2, -1, 1, 2)))
+                          for _ in range(rng.randint(1, 2))])
+        return cone, gen, 5
+    f2 = FreeCtx(2)
+    if rng.random() < 0.3:   # <a b^-1 a> meets B_3 in three members and passes
+        return dynamical_cone(f2), f2.word([("a", 1), ("b", -1), ("a", 1)]), 3
+    gen = f2.word([(rng.randrange(2), rng.choice((-1, 1)))
+                   for _ in range(rng.randint(1, 3))])
+    return dynamical_cone(f2), gen, rng.choice((2, 3))
+
+
+@pytest.mark.parametrize("family", ["slope", "klein", "f2-dynamical"])
+def test_convexity_matches_the_triple_loop(family):
+    rng = random.Random(len(family))
+    passed = failed = 0
+    for _ in range(12):
+        cone, gen, r = _convexity_cases(family, rng)
+        if gen.is_identity():
+            continue
+        member = cyclic_subgroup(cone.ctx, gen)
+        rep = convexity_check(cone, member, r)
+        expect = _convexity_triple_loop(cone, member, r)
+        assert rep.witness == expect and rep.passed == (expect is None)
+        passed, failed = passed + rep.passed, failed + (not rep.passed)
+    assert passed and failed
+
+
+def test_convexity_scan_signs_each_outsider_row_once(monkeypatch):
+    # the perfbench job: <e1 e2> is the slope line of P_(1,-1)^++, so the
+    # scan passes and reads every (c1, f); the plain triple loop signs 29,250 words
+    calls = []
+    sign = Cone.sign
+    monkeypatch.setattr(Cone, "sign", lambda self, w: calls.append(1) or sign(self, w))
+    rep = convexity_check(slope_cone((1, -1), "++"),
+                          cyclic_subgroup(Z2, Z2.from_vector((1, 1))), 12)
+    assert rep.passed
+    assert len(calls) <= 9000
 
 
 def test_stated_triple_is_a_genuine_violation():

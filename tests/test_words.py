@@ -454,6 +454,56 @@ def test_sol_power_cap_meets_the_exponents_a_word_reaches():
     assert set(vars(ctx)["_powers"]) == {3}
 
 
+def test_sol_lattice_run_summing_to_zero_still_needs_its_power():
+    # a run of lattice letters moves by A^k once, but every letter in it was
+    # read at exponent k, so the cap refuses A^k even when the run cancels
+    for raw in ([("t", 10 ** 18), ("a", 1), ("a", -1)],
+                [("t", 10 ** 18), ("a", 2), ("b", 1), ("a", -2), ("b", -1)],
+                [("a", 1), ("t", 10 ** 18), ("b", 1), ("b", -1), ("t", -10 ** 18)]):
+        with pytest.raises(ResourceLimitError):
+            SOL.word(raw)
+    assert SOL.word([("t", 10 ** 18), ("t", -10 ** 18), ("a", 1)]).syllables == (
+        (SOL.A1, 1),)
+
+
+def _sol_power_keys(syllables):
+    """The exponents k, |k| <= 64, whose A^k a letter-by-letter walk looks up:
+    each running exponent at which a lattice letter follows a change of k."""
+    keys, k, at = set(), 0, 0
+    for g, e in syllables:
+        if g == SOL.T:
+            k += e
+        elif at != k:
+            at = k
+            if -64 <= k <= 64:
+                keys.add(k)
+    return keys
+
+
+SOL_MATRICES = [Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 0), Mat2(3, 2, 1, 1),
+                Mat2(0, 1, -1, 0), Mat2(1, 2, 0, -1)]   # det 1, -1, 1, 1, -1
+
+
+@pytest.mark.parametrize("matrix", SOL_MATRICES, ids=str)
+def test_sol_products_past_the_kept_powers_match_the_letter_walk(matrix):
+    # exponents run past +-64, so some powers are kept and some are not
+    rng = random.Random(matrix.a * 7 + matrix.b * 5 + matrix.c * 3 + matrix.d)
+    ctx = SemidirectCtx(matrix)
+    ref = _sol_reference(ctx)
+    for _ in range(60):
+        raw_u, raw_v = (tuple(
+            (g, rng.randint(-90, 90) if g == ctx.T else rng.randint(-3, 3))
+            for g in (rng.randrange(3) for _ in range(rng.randint(0, 7))))
+            for _ in range(2))
+        u, v = ctx.word(raw_u), ctx.word(raw_v)
+        assert u.syllables == ref(raw_u) and v.syllables == ref(raw_v)
+        assert ctx.mul(u, v).syllables == ref(raw_u + raw_v)
+        assert ctx.inv(u).syllables == ref(tuple((g, -e) for g, e in reversed(raw_u)))
+        fresh = SemidirectCtx(matrix)
+        fresh.word(raw_u + raw_v)
+        assert set(vars(fresh)["_powers"]) == _sol_power_keys(raw_u + raw_v)
+
+
 # -- multiplication, inversion, conjugation -----------------------------------
 
 def test_free_mul_example():
